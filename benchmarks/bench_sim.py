@@ -1,31 +1,25 @@
 """Quick simulator benchmark suite -> BENCH_sim.json.
 
 Measures the wall-clock effect of the demand-driven engine, the
-columnar vector kernels, the hot-path kernelization (SoA channels,
-token pooling, batched stepping), and the parallel sweep runner on a
-fixed four-point suite (PageRank on the RV stand-in across the shared
-/ private / two-level / traditional organizations -- the same workload
-family as Fig. 1/11), as a three-way serial pass:
+hot-path kernelization (SoA channels, token pooling, batched
+stepping), and the parallel sweep runner on a fixed four-point suite
+(PageRank on the RV stand-in across the shared / private / two-level /
+traditional organizations -- the same workload family as Fig. 1/11):
 
 * **baseline**: the seed schedule -- all-tick legacy engine
-  (``REPRO_ENGINE=legacy``), scalar kernels, points run serially;
-* **optimized (serial, scalar)**: demand-driven engine with
-  ``REPRO_KERNELS=scalar`` -- isolates the engine effect;
-* **optimized (serial, vector)**: demand-driven engine with the
-  columnar vector kernels (the shipping default) -- the kernel win
-  rides on top of the engine win;
-* **optimized (parallel)**: demand engine + vector kernels, points run
-  through :func:`repro.experiments.common.run_points` with
-  ``REPRO_JOBS`` workers (defaults to the CPU count), so multi-core
-  hosts show the real combined speedup; single-worker hosts record the
-  skip (``{"skipped": ...}`` with the host core count) instead of null.
+  (``REPRO_ENGINE=legacy``), points run serially;
+* **optimized (serial)**: the demand-driven engine (the shipping
+  default), points run serially -- isolates the engine effect;
+* **optimized (parallel)**: demand engine, points run through
+  :func:`repro.experiments.common.run_points` with ``REPRO_JOBS``
+  workers (defaults to the CPU count), so multi-core hosts show the
+  real combined speedup; single-worker hosts record the skip
+  (``{"skipped": ...}`` with the host core count) instead of null.
 
-``engine_speedup_serial`` is baseline over demand-scalar,
-``kernel_speedup_serial`` is demand-scalar over demand-vector, and
+``engine_speedup_serial`` is baseline over demand-serial, and
 ``combined_speedup`` is the baseline wall over the best optimized wall.
 Cycle counts are asserted identical between every pass -- the speedup
-is free of model drift by construction, and the scalar/vector race is
-the bit-identity gate for the columnar engine.  Each point also
+is free of model drift by construction.  Each point also
 reports steady-state token constructions per simulated cycle (near
 zero with the freelists circulating), and a dedicated micro-benchmark
 races the same point with pooling disabled (``REPRO_POOL=0``) to
@@ -41,11 +35,11 @@ Usage::
 ``--quick`` runs the same suite and gates on a smaller graph with a
 one-iteration budget (the CI perf-smoke configuration).
 
-A separate **deep-queue pass** races the scalar and vector kernels on
-an MSHR-starved single-PE point (long-latency, deep-queued DRAM,
-deeper cuckoo kick chains -- see ``_DEEP``) where most cycles are
-fused macro-tick retry runs; it records
-``kernel_speedup_serial_deep`` alongside the CI-scale figures.
+A separate **deep-queue pass** races macro-tick fusion off
+(``REPRO_FUSION=off``) against its default on an MSHR-starved single-PE
+point (long-latency, deep-queued DRAM, deeper cuckoo kick chains -- see
+``_DEEP``) where most cycles are fused retry runs; it records
+``fusion_speedup_serial_deep`` alongside the CI-scale figures.
 ``--scale`` moves that pass's RMAT graph scale for exploration.
 
 Legacy-engine passes record ``tick_fraction: null``: the all-tick
@@ -97,9 +91,9 @@ _SCALE = _FULL
 # MOMS starved at the MSHR file -- a tiny structure budget against a
 # long-latency, deep-queued DRAM channel, with deeper cuckoo kick
 # chains.  Most simulated cycles are full-table retry storms, which is
-# exactly the regime the fused macro-tick runs batch; the scalar /
-# vector race on this point is the honest measure of that batching
-# (``kernel_speedup_serial_deep``).  ``--scale`` moves the RMAT graph
+# exactly the regime the fused macro-tick runs batch; the fusion off /
+# on race on this point is the honest measure of that batching
+# (``fusion_speedup_serial_deep``).  ``--scale`` moves the RMAT graph
 # scale for exploration; CI and the committed figure use the default.
 _DEEP = {
     "rmat_scale": 10,
@@ -153,9 +147,8 @@ def _point(label_org):
     }
 
 
-def run_pass(engine_kind, jobs, kernels="vector"):
+def run_pass(engine_kind, jobs):
     os.environ["REPRO_ENGINE"] = engine_kind
-    os.environ["REPRO_KERNELS"] = kernels
     start = time.perf_counter()
     rows = run_points(_point, list(SUITE), jobs=jobs)
     wall = time.perf_counter() - start
@@ -164,7 +157,6 @@ def run_pass(engine_kind, jobs, kernels="vector"):
         activity.merge(row.pop("activity"))
     return {
         "engine": engine_kind,
-        "kernels": kernels,
         "jobs": jobs,
         "wall_s": round(wall, 3),
         "points": rows,
@@ -191,16 +183,16 @@ def _deep_config():
     return config
 
 
-def _deep_leg(graph, kernels):
+def _deep_leg(graph, fusion):
     os.environ["REPRO_ENGINE"] = "demand"
-    os.environ["REPRO_KERNELS"] = kernels
+    os.environ["REPRO_FUSION"] = fusion
     system = AcceleratorSystem(graph, "pagerank", _deep_config())
     start = time.perf_counter()
     result = system.run(max_iterations=_DEEP["iterations"])
     wall = time.perf_counter() - start
     activity = EngineActivity.from_engine(system.engine)
     return {
-        "kernels": kernels,
+        "fusion": fusion,
         "cycles": result.cycles,
         "gteps": result.gteps,
         "wall_s": round(wall, 3),
@@ -219,23 +211,23 @@ def _deep_leg(graph, kernels):
 
 
 def run_deep_pass(rmat_scale):
-    """Scalar-vs-vector race on the deep-queue point.
+    """Fusion-off vs default race on the deep-queue point.
 
-    Both legs run the demand engine with fusion at its default, so the
-    race isolates what the batched ``step_n`` kernels (closed-form LCG
-    jumps, columnar retry batches) buy over the same fused runs
-    executed with the scalar reference loops.  Cycle counts and per-run
-    stats are asserted identical -- the speedup is free of model drift
-    by construction.
+    Both legs run the demand engine; the race isolates what the fused
+    ``step_n`` runs (the full-table retry spin's O(log n) LCG jump
+    among them) buy over ticking the same cycles one by one.  Cycle
+    counts and GTEPS are asserted identical -- the speedup is free of
+    model drift by construction -- and the fused leg must actually
+    fuse.
     """
     graph = rmat_graph(rmat_scale, edge_factor=_DEEP["edge_factor"],
                        seed=_DEEP["seed"])
-    scalar = _deep_leg(graph, "scalar")
-    vector = _deep_leg(graph, "vector")
-    assert scalar["cycles"] == vector["cycles"], (scalar, vector)
-    assert scalar["gteps"] == vector["gteps"], (scalar, vector)
-    assert scalar["fused_cycles"] == vector["fused_cycles"], \
-        (scalar, vector)
+    unfused = _deep_leg(graph, "off")
+    fused = _deep_leg(graph, "on")
+    assert unfused["cycles"] == fused["cycles"], (unfused, fused)
+    assert unfused["gteps"] == fused["gteps"], (unfused, fused)
+    assert unfused["fused_cycles"] == 0, unfused
+    assert fused["fused_cycles"] > 0, fused
     return {
         "point": (
             f"PageRank / rmat-{rmat_scale} ef{_DEEP['edge_factor']} / "
@@ -249,12 +241,12 @@ def run_deep_pass(rmat_scale):
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "iterations": _DEEP["iterations"],
-        "cycles": scalar["cycles"],
-        "scalar": scalar,
-        "vector": vector,
+        "cycles": fused["cycles"],
+        "fusion_off": unfused,
+        "fusion_on": fused,
         "cycles_identical": True,
-        "kernel_speedup_serial_deep": round(
-            scalar["wall_s"] / vector["wall_s"], 2
+        "fusion_speedup_serial_deep": round(
+            unfused["wall_s"] / fused["wall_s"], 2
         ),
     }
 
@@ -725,20 +717,16 @@ def main(argv=None):
         cache_tmp = tempfile.mkdtemp(prefix="repro-graph-cache-")
         os.environ["REPRO_GRAPH_CACHE"] = cache_tmp
 
-    print(f"baseline pass: legacy engine, scalar kernels, serial "
-          f"({len(SUITE)} points)")
-    baseline = run_pass("legacy", jobs=1, kernels="scalar")
+    print(f"baseline pass: legacy engine, serial ({len(SUITE)} points)")
+    baseline = run_pass("legacy", jobs=1)
     print(f"  wall {baseline['wall_s']:.2f}s")
-    print("optimized pass (serial, scalar kernels): demand engine, jobs=1")
-    demand_scalar = run_pass("demand", jobs=1, kernels="scalar")
-    print(f"  wall {demand_scalar['wall_s']:.2f}s")
-    print("optimized pass (serial, vector kernels): demand engine, jobs=1")
-    optimized_serial = run_pass("demand", jobs=1, kernels="vector")
+    print("optimized pass (serial): demand engine, jobs=1")
+    optimized_serial = run_pass("demand", jobs=1)
     print(f"  wall {optimized_serial['wall_s']:.2f}s")
     print(f"  {optimized_serial['summary']}")
     if jobs > 1:
         print(f"optimized pass (parallel): demand engine, jobs={jobs}")
-        optimized_parallel = run_pass("demand", jobs=jobs, kernels="vector")
+        optimized_parallel = run_pass("demand", jobs=jobs)
         print(f"  wall {optimized_parallel['wall_s']:.2f}s")
     else:
         # Record the skip instead of null, so the report distinguishes
@@ -754,7 +742,7 @@ def main(argv=None):
               f"({optimized_parallel['skipped']}; set REPRO_JOBS to "
               "override)")
 
-    passes = [demand_scalar, optimized_serial]
+    passes = [optimized_serial]
     if "skipped" not in optimized_parallel:
         passes.append(optimized_parallel)
     for optimized in passes:
@@ -763,15 +751,16 @@ def main(argv=None):
             assert before["gteps"] == after["gteps"], (before, after)
 
     print(f"deep-queue pass: rmat-{args.scale}, MSHR-starved shared "
-          "1x1, scalar vs vector kernels")
+          "1x1, fusion off vs on")
     deep = run_deep_pass(args.scale)
-    print(f"  scalar {deep['scalar']['wall_s']:.2f}s, vector "
-          f"{deep['vector']['wall_s']:.2f}s -> "
-          f"{deep['kernel_speedup_serial_deep']:.2f}x over "
+    fused = deep["fusion_on"]
+    print(f"  off {deep['fusion_off']['wall_s']:.2f}s, on "
+          f"{fused['wall_s']:.2f}s -> "
+          f"{deep['fusion_speedup_serial_deep']:.2f}x over "
           f"{deep['cycles']:,} cycles "
-          f"({100 * deep['vector']['fused_cycle_fraction']:.0f}% fused, "
-          f"{deep['vector']['fused_runs']} runs of mean "
-          f"{deep['vector']['mean_run_len']:.0f})")
+          f"({100 * fused['fused_cycle_fraction']:.0f}% fused, "
+          f"{fused['fused_runs']} runs of mean "
+          f"{fused['mean_run_len']:.0f})")
 
     print("pooling micro: allocations/cycle with freelists off vs on")
     pooling = bench_pooling_off(args.quick)
@@ -814,11 +803,9 @@ def main(argv=None):
           f"{checkpoint['write_ms_each']}ms / "
           f"{checkpoint['snapshot_bytes']} bytes each")
 
-    vector_passes = [p for p in passes if p["kernels"] == "vector"]
-    best_wall = min(p["wall_s"] for p in vector_passes)
+    best_wall = min(p["wall_s"] for p in passes)
     combined = baseline["wall_s"] / best_wall
-    engine_speedup = baseline["wall_s"] / demand_scalar["wall_s"]
-    kernel_speedup = demand_scalar["wall_s"] / optimized_serial["wall_s"]
+    engine_speedup = baseline["wall_s"] / optimized_serial["wall_s"]
     report = {
         "suite": f"PageRank/{_SCALE['graph']} quick suite "
                  "(shared, private, two-level, traditional)",
@@ -829,13 +816,11 @@ def main(argv=None):
             "jobs": jobs,
         },
         "baseline_legacy_serial": baseline,
-        "optimized_demand_scalar_serial": demand_scalar,
         "optimized_demand_serial": optimized_serial,
         "optimized_demand_parallel": optimized_parallel,
         "deep_pass": deep,
         "engine_speedup_serial": round(engine_speedup, 2),
-        "kernel_speedup_serial": round(kernel_speedup, 2),
-        "kernel_speedup_serial_deep": deep["kernel_speedup_serial_deep"],
+        "fusion_speedup_serial_deep": deep["fusion_speedup_serial_deep"],
         "combined_speedup": round(combined, 2),
         "cycles_identical": True,
         "pooling_micro": pooling,
@@ -847,9 +832,8 @@ def main(argv=None):
     }
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
-    print(f"engine speedup {engine_speedup:.2f}x serial; kernel speedup "
-          f"{kernel_speedup:.2f}x on top; deep-queue kernel speedup "
-          f"{deep['kernel_speedup_serial_deep']:.2f}x; combined "
+    print(f"engine speedup {engine_speedup:.2f}x serial; deep-queue fusion "
+          f"speedup {deep['fusion_speedup_serial_deep']:.2f}x; combined "
           f"{combined:.2f}x (best of serial/parallel, jobs={jobs} on "
           f"{os.cpu_count()} cpus)")
     print(f"wrote {args.output}")

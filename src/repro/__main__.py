@@ -149,7 +149,7 @@ def main(argv=None):
         header = read_header(args.target)
         print(f"replaying {args.target}: {header['algorithm']}/"
               f"{header['organization']} from cycle {header['cycle']} "
-              f"({header['engine']} engine, {header['kernels']} kernels)")
+              f"({header['engine']} engine)")
         from repro.faults.watchdog import WatchdogError
 
         try:

@@ -63,22 +63,6 @@ def pagerank_spec():
         base = 0.15 / graph.n_nodes
         return np.where(degrees > 0, y * degrees / DAMPING, base)
 
-    def apply_enc_vec(bram, const, base):
-        """Columnar apply+encode: same IEEE ops as apply(), elementwise.
-
-        The expression keeps apply()'s association -- d * (base + v) / c
-        -- so float64 intermediates match the scalar path bit for bit;
-        the f32 cast then matches f32_to_bits exactly.  Sink lanes
-        (OD = 0) are masked to 0.0 after the division, whose inf/nan
-        lanes are discarded.
-        """
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # simlint: disable=R5 -- not cycle math: the sink test
-            # compares V_const lanes that hold exact integer
-            # out-degrees, mirroring apply()'s `const_c == 0`.
-            y = np.where(const != 0.0, DAMPING * (base + bram) / const, 0.0)
-        return y.astype(np.float32).view(np.uint32)
-
     return AlgorithmSpec(
         name="pagerank",
         weighted=False,
@@ -98,19 +82,7 @@ def pagerank_spec():
         const_values=const_values,
         finalize=finalize,
         global_const=lambda graph: 0.15 / graph.n_nodes,
-        init_vec=lambda c, words: np.zeros(len(words)),
-        apply_enc_vec=apply_enc_vec,
     )
-
-
-def _identity_init_vec(const, words):
-    """Columnar init(c, v) = v: uint32 words widen exactly to float64."""
-    return words.astype(np.float64)
-
-
-def _identity_apply_enc_vec(bram, const, base):
-    """Columnar apply/encode = int(v): BRAM holds exact uint32 values."""
-    return bram.astype(np.uint32)
 
 
 def scc_spec():
@@ -135,8 +107,6 @@ def scc_spec():
         encode=lambda value: int(value),
         initial_values=initial_values,
         finalize=lambda words, graph: words.copy(),
-        init_vec=_identity_init_vec,
-        apply_enc_vec=_identity_apply_enc_vec,
     )
 
 
@@ -168,8 +138,6 @@ def sssp_spec(source=0):
         encode=lambda value: int(value),
         initial_values=initial_values,
         finalize=lambda words, graph: words.copy(),
-        init_vec=_identity_init_vec,
-        apply_enc_vec=_identity_apply_enc_vec,
     )
 
 
@@ -201,8 +169,6 @@ def bfs_spec(source=0):
         encode=lambda value: int(value),
         initial_values=initial_values,
         finalize=lambda words, graph: words.copy(),
-        init_vec=_identity_init_vec,
-        apply_enc_vec=_identity_apply_enc_vec,
     )
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from repro.graph.encoding import EDGE_DST_BITS, EDGE_SRC_BITS, TERMINATOR_BIT
 from repro.mem.dram import LINE_BYTES, MemResponse, _acquire_request
 from repro.sim import Component
-from repro.sim.kernels import kernels_mode
 
 IDLE = "idle"
 INIT_CONST = "init_const"
@@ -102,49 +101,6 @@ class BurstRequester:
                                        is_write, tag, respond_to, piece_data)
             ports[channel].push(request)
         return len(pieces)
-
-
-class _EdgeColumns:
-    """Columnar decoded-edge backlog (``REPRO_KERNELS=vector``).
-
-    The scalar path queues one (src, dst, weight) tuple per edge; the
-    vector path decodes a whole DMA beat with numpy and lands the
-    results here as parallel columns, including two precomputed ones
-    the scalar path derives per edge at dispatch time: the BRAM-local
-    mask and the MOMS byte address of each source value.  Consumption
-    stays one edge per cycle (an architectural rate), so the head is an
-    index that advances and periodically compacts instead of a popleft.
-
-    ``len()``/truthiness report the undispatched count -- telemetry and
-    the stream bookkeeping use it exactly like the scalar deque's.
-    """
-
-    __slots__ = ("src", "dst", "w", "local", "addr", "head")
-
-    _COMPACT_AT = 1024  # amortized O(1): drop the consumed prefix
-
-    def __init__(self):
-        self.src = []
-        self.dst = []
-        self.w = []
-        self.local = []
-        self.addr = []
-        self.head = 0
-
-    def __len__(self):
-        return len(self.src) - self.head
-
-    def advance(self):
-        """Consume the head edge."""
-        head = self.head + 1
-        if head >= self._COMPACT_AT:
-            del self.src[:head]
-            del self.dst[:head]
-            del self.w[:head]
-            del self.local[:head]
-            del self.addr[:head]
-            head = 0
-        self.head = head
 
 
 class PEStats:
@@ -220,22 +176,7 @@ class ProcessingElement(Component):
         self._job = None
         self._engine = None
         self._pipeline = deque()  # (commit_cycle, dst_off, new, old)
-        # Columnar engine v2: resolved at construction (like the bank
-        # kernels and REPRO_ENGINE), so one process can race both modes.
-        self._vec = kernels_mode() == "vector"
-        if self._vec:
-            self._edge_queue = _EdgeColumns()
-        else:
-            self._edge_queue = deque()  # (src_node, dst_off, weight)
-        self._decode_step = (self._decode_edge_beats_vec if self._vec
-                             else self._decode_edge_beats)
-        self._dispatch_step = (self._process_edges_vec if self._vec
-                               else self._process_edges)
-        # Mirror of len(self._edge_queue), maintained at the decode and
-        # dispatch sites.  The stream loop and _arm() test the backlog
-        # every tick; a plain int keeps that off the _EdgeColumns
-        # __len__ path (a Python-level call, ~5x a deque's C check).
-        self._edges_queued = 0
+        self._edge_queue = deque()  # (src_node, dst_off, weight)
         self._decoded_backlog_limit = config.dma_queue_beats * 16
         self._outstanding_moms = 0
 
@@ -309,17 +250,11 @@ class ProcessingElement(Component):
                 # burst slot worth retrying.
                 engine.wake(self)
                 return
-            if self._edges_queued:
+            if self._edge_queue:
                 # Progress on the head edge is all that remains; wake
                 # only if it can move without an external event.
-                queue = self._edge_queue
-                if self._vec:
-                    local_head = queue.local[queue.head]
-                else:
-                    src_node = queue[0][0]
-                    local_head = (self.spec.use_local_src
-                                  and self._lo <= src_node < self._hi)
-                if local_head:
+                src_node = self._edge_queue[0][0]
+                if self.spec.use_local_src and self._lo <= src_node < self._hi:
                     engine.wake(self)  # local read, gated only on gather
                 elif self.spec.weighted and not self._free_ids:
                     pass  # IDs free only via responses -> moms_resp wake
@@ -358,7 +293,7 @@ class ProcessingElement(Component):
             return False
         if self._bursts_outstanding >= self.config.max_outstanding_edge_bursts:
             return False
-        backlog = self._edges_queued + self._beats_outstanding * 16
+        backlog = len(self._edge_queue) + self._beats_outstanding * 16
         return backlog <= self._decoded_backlog_limit
 
     def step_n(self, engine, budget):
@@ -411,41 +346,7 @@ class ProcessingElement(Component):
             return 0
         # The per-cycle apply loop with an m-cycle budget: identical
         # word order and chunk trimming, one loop instead of m.
-        budget_words = m * per
-        if self._apply_vec:
-            target = (self._const_bram if self._phase == INIT_CONST
-                      else self._bram)
-            while budget_words > 0 and backlog:
-                start, vals = backlog[0]
-                take = min(budget_words, len(vals))
-                target[start:start + take] = vals[:take]
-                self._applied += take
-                budget_words -= take
-                if take == len(vals):
-                    backlog.popleft()
-                else:
-                    backlog[0] = (start + take, vals[take:])
-        else:
-            decode = self.spec.decode
-            init = self.spec.init
-            while budget_words > 0 and backlog:
-                start, words = backlog[0]
-                take = min(budget_words, len(words))
-                if self._phase == INIT_CONST:
-                    for i in range(take):
-                        self._const_bram[start + i] = float(words[i])
-                else:
-                    for i in range(take):
-                        index = start + i
-                        self._bram[index] = init(
-                            self._const_bram[index], decode(words[i])
-                        )
-                self._applied += take
-                budget_words -= take
-                if take == len(words):
-                    backlog.popleft()
-                else:
-                    backlog[0] = (start + take, words[take:])
+        self._apply_words(m * per)
         stats = self.stats
         stats.busy_cycles += m
         phase = self._phase
@@ -470,7 +371,7 @@ class ProcessingElement(Component):
         visible = dma_resp._visible
         if visible < 2 or dma_resp._space_subs or dma_resp._space_requests:
             return 0
-        if self.moms_resp._visible or not self._edges_queued:
+        if self.moms_resp._visible or not self._edge_queue:
             return 0
         if self._stream_cursor < len(self._shards):
             return 0  # _request_edge_bursts could do real work mid-run
@@ -487,15 +388,8 @@ class ProcessingElement(Component):
                 m = h
         if m < 1:
             return 0
-        if self._vec:
-            cols = self._edge_queue
-            head = cols.head
-            local = cols.local[head]
-            dst_off = cols.dst[head]
-        else:
-            src_node, dst_off, _ = self._edge_queue[0]
-            local = (self.spec.use_local_src
-                     and self._lo <= src_node < self._hi)
+        src_node, dst_off, _ = self._edge_queue[0]
+        local = self.spec.use_local_src and self._lo <= src_node < self._hi
         moms_full = False
         if local:
             if not self._raw_hazard(dst_off):
@@ -507,7 +401,7 @@ class ProcessingElement(Component):
             if not moms_full and not (self.spec.weighted
                                       and not self._free_ids):
                 return 0  # head would issue into the MOMS
-        decode = self._decode_step
+        decode = self._decode_edge_beats
         for _ in range(m):
             decode()
         stats = self.stats
@@ -562,13 +456,6 @@ class ProcessingElement(Component):
         self._rd_burst_outstanding = 0
         self._apply_backlog = deque()  # (start_index, words array)
         self._applied = 0
-        # Vector mode lands each beat as ready-to-store float64 values
-        # (init already folded in), so the budgeted apply loop becomes
-        # a slice assignment.  INIT_VIN needs the spec's columnar init;
-        # a spec without one keeps the scalar per-word path.
-        self._apply_vec = self._vec and (
-            phase == INIT_CONST or self.spec.init_vec is not None
-        )
 
     def _tick_init(self, engine):
         # One outstanding initialization burst at a time (Section IV-D).
@@ -593,78 +480,21 @@ class ProcessingElement(Component):
             base = self._rd_base
             n_local = self._n_local
             backlog = self._apply_backlog
-            if self._apply_vec:
-                # One numpy pass per 16-word beat: widen (and for
-                # INIT_VIN, init) the whole beat now; the budget loop
-                # below only slices.  astype/init_vec copy, so the
-                # beat recycles immediately.
-                const_phase = self._phase == INIT_CONST
-                init_vec = self.spec.init_vec
-                const_bram = self._const_bram
-                for beat in beats:
-                    start = (beat.addr - base) // 4
-                    count = min(16, n_local - start)
-                    words = beat.data[:4 * count].view(np.uint32)
-                    if const_phase:
-                        vals = words.astype(np.float64)
-                    else:
-                        vals = init_vec(
-                            const_bram[start:start + count], words
-                        )
-                    backlog.append((start, vals))
-                    if pool is not None:
-                        beat.data = None
-                        pool.append(beat)
-            else:
-                for beat in beats:
-                    start = (beat.addr - base) // 4
-                    count = min(16, n_local - start)
-                    backlog.append(
-                        (start, beat.data[:4 * count].view(np.uint32).tolist())
-                    )
-                    if pool is not None:
-                        beat.data = None
-                        pool.append(beat)
+            for beat in beats:
+                start = (beat.addr - base) // 4
+                count = min(16, n_local - start)
+                backlog.append(
+                    (start, beat.data[:4 * count].view(np.uint32).tolist())
+                )
+                if pool is not None:
+                    beat.data = None
+                    pool.append(beat)
             self._rd_burst_outstanding -= len(beats)
             self._rd_received += len(beats)
         if self._apply_backlog:
             engine.mark_active()  # BRAM writes advance without channel traffic
         # Apply at the BRAM port rate (4 node writes per cycle).
-        budget = self.config.init_nodes_per_cycle
-        if self._apply_vec:
-            target = (self._const_bram if self._phase == INIT_CONST
-                      else self._bram)
-            while budget > 0 and self._apply_backlog:
-                start, vals = self._apply_backlog[0]
-                take = min(budget, len(vals))
-                target[start:start + take] = vals[:take]
-                self._applied += take
-                budget -= take
-                if take == len(vals):
-                    self._apply_backlog.popleft()
-                else:
-                    self._apply_backlog[0] = (start + take, vals[take:])
-        else:
-            decode = self.spec.decode
-            init = self.spec.init
-            while budget > 0 and self._apply_backlog:
-                start, words = self._apply_backlog[0]
-                take = min(budget, len(words))
-                if self._phase == INIT_CONST:
-                    for i in range(take):
-                        self._const_bram[start + i] = float(words[i])
-                else:
-                    for i in range(take):
-                        index = start + i
-                        self._bram[index] = init(
-                            self._const_bram[index], decode(words[i])
-                        )
-                self._applied += take
-                budget -= take
-                if take == len(words):
-                    self._apply_backlog.popleft()
-                else:
-                    self._apply_backlog[0] = (start + take, words[take:])
+        self._apply_words(self.config.init_nodes_per_cycle)
         if self._applied == self._n_local and \
                 self._rd_requested == self._rd_total and \
                 self._rd_burst_outstanding == 0:
@@ -674,6 +504,30 @@ class ProcessingElement(Component):
                 )
             else:
                 self._start_pointers()
+
+    def _apply_words(self, budget):
+        """Write up to *budget* backlog words into BRAM, oldest first."""
+        backlog = self._apply_backlog
+        decode = self.spec.decode
+        init = self.spec.init
+        while budget > 0 and backlog:
+            start, words = backlog[0]
+            take = min(budget, len(words))
+            if self._phase == INIT_CONST:
+                for i in range(take):
+                    self._const_bram[start + i] = float(words[i])
+            else:
+                for i in range(take):
+                    index = start + i
+                    self._bram[index] = init(
+                        self._const_bram[index], decode(words[i])
+                    )
+            self._applied += take
+            budget -= take
+            if take == len(words):
+                backlog.popleft()
+            else:
+                backlog[0] = (start + take, words[take:])
 
     # -- edge pointers ---------------------------------------------------------
 
@@ -749,14 +603,14 @@ class ProcessingElement(Component):
         if self._stream_cursor < len(self._shards):
             self._request_edge_bursts()
         if self.dma_resp._visible:
-            self._decode_step()
+            self._decode_edge_beats()
         if self.moms_resp._visible:
             gather_free = self._process_response()
         else:
             gather_free = True
-        if self._edges_queued:
-            self._dispatch_step(gather_free)
-        if not (self._bursts_outstanding or self._edges_queued
+        if self._edge_queue:
+            self._process_edges(gather_free)
+        if not (self._bursts_outstanding or self._edge_queue
                 or self._pipeline or self._outstanding_moms):
             if self._stream_done():
                 self._start_writeback()
@@ -765,7 +619,7 @@ class ProcessingElement(Component):
         config = self.config
         if self._bursts_outstanding >= config.max_outstanding_edge_bursts:
             return
-        backlog = self._edges_queued + self._beats_outstanding * 16
+        backlog = len(self._edge_queue) + self._beats_outstanding * 16
         if backlog > self._decoded_backlog_limit:
             return
         while self._stream_cursor < len(self._shards):
@@ -828,69 +682,10 @@ class ProcessingElement(Component):
                 weight_words[i] if weighted else 0,
             ))
             decoded += 1
-        self._edges_queued += decoded
         shard["edges_decoded"] += decoded
         if shard["edges_decoded"] > shard["count"]:
             # Padding within the final line is cut by the
             # terminator; exceeding the count means corruption.
-            raise AssertionError("decoded more edges than the shard has")
-
-    def _decode_edge_beats_vec(self):
-        """Columnar beat decode (``REPRO_KERNELS=vector``).
-
-        Same one-beat-per-cycle rate as the scalar decoder, but the
-        terminator cut, src/dst field extraction, local-source mask,
-        and MOMS byte address are whole-beat numpy passes landing
-        straight into the :class:`_EdgeColumns` backlog -- the scalar
-        dispatcher's per-edge bound checks and address arithmetic are
-        precomputed here once.
-        """
-        if not self.dma_resp._visible:
-            return
-        beat = self.dma_resp.pop()
-        tag = beat.tag
-        if tag[0] != "edges":
-            raise AssertionError(f"unexpected DMA beat {tag} in stream")
-        s = tag[1]
-        if beat.last:
-            self._bursts_outstanding -= 1
-        self._beats_outstanding -= 1
-        words = beat.data.view(np.uint32)
-        weighted = self.spec.weighted
-        if weighted:
-            edge_words = words[0::2]
-            weight_words = words[1::2]
-        else:
-            edge_words = words
-        term = np.flatnonzero(edge_words & TERMINATOR_BIT)
-        n = int(term[0]) if term.size else len(edge_words)
-        cols = self._edge_queue
-        if n:
-            # .tolist() copies out of the beat's buffer, so the beat
-            # recycles below with the columns already materialized.
-            ew = edge_words[:n].astype(np.int64)
-            srcs = (s * self._ns) + ((ew >> EDGE_DST_BITS) & _SRC_MASK)
-            cols.src.extend(srcs.tolist())
-            cols.dst.extend((ew & _DST_MASK).tolist())
-            if weighted:
-                cols.w.extend(weight_words[:n].tolist())
-            else:
-                cols.w.extend([0] * n)
-            if self.spec.use_local_src:
-                cols.local.extend(
-                    ((srcs >= self._lo) & (srcs < self._hi)).tolist()
-                )
-            else:
-                cols.local.extend([False] * n)
-            cols.addr.extend((self.layout.v_in_addr + srcs * 4).tolist())
-        pool = MemResponse._pool
-        if pool is not None:
-            beat.data = None
-            pool.append(beat)
-        self._edges_queued += n
-        shard = self._shard_by_s[s]
-        shard["edges_decoded"] += n
-        if shard["edges_decoded"] > shard["count"]:
             raise AssertionError("decoded more edges than the shard has")
 
     def _raw_hazard(self, dst_off):
@@ -955,7 +750,7 @@ class ProcessingElement(Component):
         return False
 
     def _process_edges(self, gather_free):
-        if not self._edges_queued:
+        if not self._edge_queue:
             return
         src_node, dst_off, weight = self._edge_queue[0]
         local = self.spec.use_local_src and self._lo <= src_node < self._hi
@@ -966,7 +761,6 @@ class ProcessingElement(Component):
                 self.stats.raw_stalls += 1
                 return
             self._edge_queue.popleft()
-            self._edges_queued -= 1
             u_value = self._bram[src_node - self._lo]
             self._enter_pipeline(self._engine, dst_off, u_value, weight)
             self.stats.local_reads += 1
@@ -986,7 +780,6 @@ class ProcessingElement(Component):
         else:
             req_id = dst_off
         self._edge_queue.popleft()
-        self._edges_queued -= 1
         addr = self.layout.v_in_addr + src_node * 4
         moms_req.push_request(addr, 4, req_id, self.pe_index)
         if self._ledger is not None:
@@ -999,61 +792,8 @@ class ProcessingElement(Component):
         self._outstanding_moms += 1
         self.stats.moms_reads += 1
 
-    def _process_edges_vec(self, gather_free):
-        """Dispatch the head edge from the columnar backlog.
-
-        Mirrors :meth:`_process_edges` decision-for-decision (same
-        stalls, same stats) but reads the precomputed local mask and
-        MOMS address columns instead of re-deriving them per edge.
-        """
-        if not self._edges_queued:
-            return
-        cols = self._edge_queue
-        h = cols.head
-        dst_off = cols.dst[h]
-        if cols.local[h]:
-            if not gather_free:
-                return
-            if self._raw_hazard(dst_off):
-                self.stats.raw_stalls += 1
-                return
-            u_value = self._bram[cols.src[h] - self._lo]
-            weight = cols.w[h]
-            cols.advance()
-            self._edges_queued -= 1
-            self._enter_pipeline(self._engine, dst_off, u_value, weight)
-            self.stats.local_reads += 1
-            return
-        # Remote source: suspend the edge into the MOMS.
-        moms_req = self.moms_req
-        if moms_req._occ + moms_req._staged_n >= moms_req.capacity:
-            self.stats.moms_request_stalls += 1
-            moms_req.request_space_wake(self)
-            return
-        if self.spec.weighted:
-            if not self._free_ids:
-                self.stats.id_stalls += 1
-                return
-            req_id = self._free_ids.popleft()
-            self._id_state[req_id] = (dst_off, cols.w[h])
-        else:
-            req_id = dst_off
-        addr = cols.addr[h]
-        cols.advance()
-        self._edges_queued -= 1
-        moms_req.push_request(addr, 4, req_id, self.pe_index)
-        if self._ledger is not None:
-            self._ledger.issue(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_issue(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_issue(self.pe_index, req_id, addr,
-                                   self._engine.now)
-        self._outstanding_moms += 1
-        self.stats.moms_reads += 1
-
     def _stream_done(self):
-        if self._bursts_outstanding or self._edges_queued or self._pipeline:
+        if self._bursts_outstanding or self._edge_queue or self._pipeline:
             return False
         if self._outstanding_moms > 0:
             return False
@@ -1068,24 +808,13 @@ class ProcessingElement(Component):
     def _start_writeback(self):
         self._set_phase(WRITEBACK)
         n = self._n_local
-        apply_enc_vec = self.spec.apply_enc_vec
-        if self._vec and apply_enc_vec is not None:
-            # Whole-interval apply+encode in one columnar pass; the
-            # hooks keep the scalar operation order so the resulting
-            # words are bit-identical (float64 elementwise IEEE ops,
-            # then the same f32/u32 narrowing per lane).
-            words = apply_enc_vec(
-                self._bram[:n], self._const_bram[:n], self._base_const
+        apply_fn = self.spec.apply
+        encode = self.spec.encode
+        words = np.zeros(n, dtype=np.uint32)
+        for i in range(n):
+            words[i] = encode(
+                apply_fn(self._bram[i], self._const_bram[i], self._base_const)
             )
-        else:
-            apply_fn = self.spec.apply
-            encode = self.spec.encode
-            words = np.zeros(n, dtype=np.uint32)
-            for i in range(n):
-                words[i] = encode(
-                    apply_fn(self._bram[i], self._const_bram[i],
-                             self._base_const)
-                )
         self._wb_words = words
         self._wb_sent = 0
         self._wb_acks_expected = 0

@@ -48,15 +48,6 @@ class AlgorithmSpec:
     finalize: Callable = None      # (dram uint32 array, graph) -> host array
     global_const: Callable = None  # (graph) -> scalar passed to init
 
-    # Columnar kernels (``REPRO_KERNELS=vector``): whole-array forms of
-    # the scalar hooks, bit-identical element-for-element.  Optional --
-    # a spec that omits them runs the scalar hooks even under the
-    # vector engine.
-    init_vec: Optional[Callable] = None
-    """(const float64 slice, dram uint32 words) -> float64 BRAM values."""
-    apply_enc_vec: Optional[Callable] = None
-    """(bram float64, const float64, base scalar) -> uint32 DRAM words."""
-
     # Rebuild recipe for serialization: ``(name, kwargs)`` resolvable by
     # :func:`repro.accel.algorithms.get_spec`.  The functional hooks are
     # closures and lambdas, which do not pickle, so snapshots store the

@@ -9,7 +9,8 @@ tables, and class-construction summaries.
 Resolution is *name-based* over :data:`CALLGRAPH_PACKAGES`, for the
 same reason the hot-path classifier's is (DESIGN.md 6.5): the engine
 and the component protocol dispatch dynamically (``component.tick``,
-``self._decode_step``), so an exact static call graph does not exist.
+``decode()`` through a stored bound method), so an exact static call
+graph does not exist.
 The deliberate over-approximations, and the two refinements that keep
 them useful:
 
@@ -17,10 +18,11 @@ them useful:
   ``meth`` -- except that ``self.meth(...)`` inside a class that
   defines ``meth`` resolves to exactly that method (the common case,
   and the one the fusion-purity traversal depends on);
-* bound-method aliases (``self._decode_step = self._decode_edge_beats``
-  at construction, ``decode = self._decode_step; decode()`` in the
-  kernel) resolve through a per-class alias table, so indirection
-  through a stored bound method does not truncate the traversal;
+* bound-method aliases (``self._step = self._step_fast`` at
+  construction, ``decode = self._decode_edge_beats; decode()`` in a
+  fused kernel) resolve through a per-class alias table, so
+  indirection through a stored bound method does not truncate the
+  traversal;
 * a bare-name call resolves to same-file definitions first, falling
   back to every definition of that name tree-wide.
 
@@ -171,7 +173,7 @@ class CallGraph:
         names = set()
         if isinstance(func, ast.Name):
             name = func.id
-            # Local bound-method alias: ``decode = self._decode_step``.
+            # Local bound-method alias: ``decode = self._decode_edge_beats``.
             aliased = False
             if caller is not None:
                 source = self.sources.get(rel)

@@ -26,7 +26,6 @@ from repro.analysis.rules.schema import (
     SchemaLiteralRule,
 )
 from repro.analysis.rules.snapshot import SnapshotCompletenessRule
-from repro.analysis.rules.vectorize import ScalarDriftRule
 
 ALL_RULES = tuple(sorted(
     (
@@ -38,7 +37,6 @@ ALL_RULES = tuple(sorted(
         MutableDefaultRule(),
         MissingSlotsRule(),
         SchemaLiteralRule(),
-        ScalarDriftRule(),
         FusionSafetyRule(),
         SnapshotCompletenessRule(),
         InterproceduralHookRule(),

@@ -139,8 +139,7 @@ class FusionSafetyRule(Rule):
     NEGATIVE = (
         "def step_n(self, engine, budget):\n"
         "    base = engine.now\n"
-        "    m = self.mshrs.failing_insert_run(self.addr, budget,\n"
-        "                                      vec=True)\n"
+        "    m = self.mshrs.failing_insert_run(self.addr, budget)\n"
         "    self.trace.extend(base + i for i in range(m))\n"
         "    self.stats.stall_mshr += m\n"
         "    return m\n"

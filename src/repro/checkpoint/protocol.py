@@ -25,7 +25,7 @@ Deliberately *not* part of a snapshot (and why it is sound):
   refills its freelists from fresh allocations.
 * **Pool counters** (:func:`repro.core.messages.pool_stats`) --
   process-local allocation telemetry, not simulated state.
-* **Environment knobs** (``REPRO_ENGINE``, ``REPRO_KERNELS``,
+* **Environment knobs** (``REPRO_ENGINE``, ``REPRO_FUSION``,
   ``REPRO_POOL``) -- resolved into instance flags at construction
   time, so the snapshot inherently carries the modes it was built
   under and the restoring process's environment cannot skew them.
@@ -67,7 +67,6 @@ def _register_all():
         BurstRequester,
         PEStats,
         ProcessingElement,
-        _EdgeColumns,
     )
     from repro.accel.scheduler import Job, Scheduler
     from repro.accel.system import AcceleratorSystem
@@ -87,7 +86,7 @@ def _register_all():
         MshrStats,
     )
     from repro.core.messages import MomsRequest, MomsResponse
-    from repro.core.subentry import ColumnarChain, SubentryStats, SubentryStore
+    from repro.core.subentry import SubentryStats, SubentryStore
     from repro.fabric.arbiter import RoundRobinArbiter
     from repro.fabric.area import AreaModel
     from repro.fabric.crossbar import Crossbar
@@ -113,7 +112,6 @@ def _register_all():
         DramTimings,
         MemRequest,
         MemResponse,
-        _Segment,
     )
     from repro.mem.interleave import AddressInterleaver
     from repro.mem.system import MemorySystem
@@ -139,14 +137,13 @@ def _register_all():
         (AcceleratorSystem, "component graph + externalized run-loop state"),
         (ProcessingElement, "phase machine, BRAM arrays, edge backlog"),
         (PEStats, "counters"),
-        (_EdgeColumns, "decoded edge-beat columns awaiting dispatch"),
         (BurstRequester, "outstanding DMA burst bookkeeping"),
         (Scheduler, "job queue, active-source flags, counters"),
         (Job, "one (src, dst) interval work item"),
         (AlgorithmSpec, "rebuilt from its get_spec recipe (closures)"),
         (ArchitectureConfig, "frozen sizing parameters"),
         # MOMS core
-        (MemoryHierarchy, "banks, crossbars, ports, kernel mode"),
+        (MemoryHierarchy, "banks, crossbars, ports"),
         (MomsBank, "pipeline state, drain cursors, stats"),
         (BankParams, "frozen sizing"),
         (BankStats, "counters"),
@@ -154,8 +151,7 @@ def _register_all():
         (AssociativeMshrFile, "entry list"),
         (MshrEntry, "tag + subentry chain head"),
         (MshrStats, "counters"),
-        (SubentryStore, "scalar free-list store"),
-        (ColumnarChain, "columnar subentry chains"),
+        (SubentryStore, "free-row pool and counters"),
         (SubentryStats, "counters"),
         (CacheArray, "tag/valid arrays, LRU state, stats"),
         (CacheStats, "counters"),
@@ -167,8 +163,7 @@ def _register_all():
         # memory system
         (MemorySystem, "functional byte image + channel list"),
         (AddressInterleaver, "frozen channel-interleave map"),
-        (DramChannel, "scheduled-response queue, segment state, stats"),
-        (_Segment, "one in-service line's beat schedule"),
+        (DramChannel, "scheduled-response queue, stats"),
         (DramTimings, "frozen timing parameters"),
         (DramStats, "counters"),
         (MemRequest, "in-flight DRAM request token"),

@@ -7,12 +7,14 @@ steps, wrapped in a self-describing container::
     magic "RPSN" | u32 header length | JSON header | zlib(pickle(system))
 
 The JSON header carries the format version, the snapshot cycle, the
-engine kind and kernel mode the system was built under, the workload
-identity, and a sha256 of the compressed payload.  Readers verify the
-magic, reject *newer* format versions (older ones are accepted -- the
-compatibility policy is DESIGN.md Section 6.7), and verify the checksum
-before unpickling, so a torn or corrupted file fails loudly instead of
-resuming garbage.
+engine kind the system was built under, the workload identity, and a
+sha256 of the compressed payload.  Readers verify the magic, reject
+*newer* format versions (older ones are accepted -- the compatibility
+policy is DESIGN.md Section 6.7), and verify the checksum before
+unpickling, so a torn or corrupted file fails loudly instead of
+resuming garbage.  Format 1 also recorded a ``kernels`` mode; files
+written in the retired ``vector`` mode hold classes that no longer
+exist and are refused before their payload is touched.
 
 Writes go to a temporary file in the destination directory, are
 fsynced, and are moved into place with ``os.replace`` -- readers
@@ -30,7 +32,7 @@ import tempfile
 import zlib
 
 SNAPSHOT_MAGIC = b"RPSN"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -65,7 +67,6 @@ def save_snapshot(system, path, meta=None):
         "format": SNAPSHOT_FORMAT,
         "cycle": system.engine.now,
         "engine": _engine_kind(system.engine),
-        "kernels": system.hierarchy.kernels,
         "algorithm": system.spec.name,
         "organization": system.config.design.organization,
         "iterations": getattr(system, "_run_iterations", 0),
@@ -142,6 +143,12 @@ def load_snapshot(path):
     """
     with open(path, "rb") as fh:
         header = _read_header_from(fh, path)
+        if header.get("kernels") == "vector":
+            raise SnapshotError(
+                f"{path}: snapshot was written in the retired 'vector' "
+                f"kernel mode, which this code no longer has; replay it "
+                f"with the code version that wrote it"
+            )
         compressed = fh.read()
     expected = header.get("payload_bytes")
     if expected is not None and len(compressed) != expected:

@@ -27,10 +27,7 @@ no longer wakes a bank with nothing to send.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.cache import CacheArray
-from repro.sim.kernels import kernels_mode
 from repro.core.mshr import AssociativeMshrFile, CuckooMshrFile
 from repro.core.subentry import SubentryStore
 from repro.sim import Component
@@ -117,12 +114,8 @@ class MomsBank(Component):
     _trace = None
 
     def __init__(self, params, req_in, resp_out, line_in, downstream,
-                 store, name="bank", seed=1, kernels=None):
+                 store, name="bank", seed=1):
         self.params = params
-        # Kernel mode is resolved at construction (like the engine kind):
-        # 'vector' stores drains/subentries column-wise and batch-hashes
-        # queued lines; 'scalar' keeps the reference per-token loops.
-        self._vec = (kernels or kernels_mode()) == "vector"
         self.req_in = req_in
         self.resp_out = resp_out
         self.line_in = line_in
@@ -142,17 +135,7 @@ class MomsBank(Component):
         self._stateful_mshrs = not params.associative_mshrs
         self.subentries = SubentryStore(
             params.n_subentries, row_size=params.subentry_row_size,
-            columnar=self._vec,
         )
-        # Cuckoo slot priming only applies to the hashed file.
-        self._vec_prime = self._vec and not params.associative_mshrs
-        self._drain_step = self._drain_one_vec if self._vec \
-            else self._drain_one
-        # Bind the concrete append once: SubentryStore.append dispatches
-        # on self.columnar per call, and _handle_request appends on
-        # every secondary and primary miss.
-        self._sub_append = (self.subentries._append_columnar if self._vec
-                            else self.subentries.append)
         self.cache = CacheArray(
             params.cache_lines,
             assoc=params.cache_assoc,
@@ -161,7 +144,6 @@ class MomsBank(Component):
         self.stats = BankStats()
         self._drain_chain = None
         self._drain_items = None
-        self._drain_addrs = None
         self._drain_index = 0
         self._drain_data = None
         self._drain_base = 0
@@ -174,7 +156,7 @@ class MomsBank(Component):
         if self._tele is not None:
             self._tele.bank_before_tick(self, engine.now)
         if self._drain_items is not None:
-            self._drain_step()
+            self._drain_one()
             self.stats.busy_cycles += 1
             if self._drain_items is not None:
                 # Mid-drain: keep stepping while the port has room; a
@@ -247,7 +229,7 @@ class MomsBank(Component):
             return 0
         if not self.downstream.can_accept(line_addr):
             return 0
-        m = mshrs.failing_insert_run(line_addr, budget, vec=self._vec)
+        m = mshrs.failing_insert_run(line_addr, budget)
         if not m:
             return 0
         # Bulk form of m identical retry ticks: probe miss (counted
@@ -291,23 +273,7 @@ class MomsBank(Component):
                                    entry.subentry_count, self._engine.now)
         chain = entry.subentry_head
         self._drain_chain = chain
-        if self._vec:
-            # Columnar drain: the chain's field columns are served in
-            # place, and the per-response addresses fall out of one
-            # numpy add over the offset column (worth it for the long
-            # coalesced chains that are the paper's whole point; tiny
-            # chains stay on the list comprehension).
-            offsets = chain.offset
-            if len(offsets) >= 16:
-                addrs = (addr + np.asarray(offsets, dtype=np.int64)).tolist()
-            else:
-                addrs = [addr + offset for offset in offsets]
-            self._drain_addrs = addrs
-            self._drain_items = chain.req_id
-        else:
-            self._drain_items = [
-                item for row in chain for item in row
-            ]
+        self._drain_items = [item for row in chain for item in row]
         self._drain_index = 0
         self._drain_data = data
         self._drain_base = addr
@@ -346,71 +312,7 @@ class MomsBank(Component):
             self._drain_items = None
             self._drain_data = None
 
-    def _drain_one_vec(self):
-        """Columnar :meth:`_drain_one`: serve one subentry per cycle
-        straight from the chain's field columns."""
-        resp_out = self.resp_out
-        if not resp_out.can_push():
-            self.stats.stall_response_port += 1
-            resp_out.request_space_wake(self)
-            return
-        chain = self._drain_chain
-        index = self._drain_index
-        req_id = chain.req_id[index]
-        if self._trace is not None:
-            # Pre-corruption id, same subentry order as _drain_one, so
-            # vector and scalar kernels emit identical span events.
-            self._trace.bank_replay(
-                self.name, req_id, chain.port[index],
-                self._drain_base // self.params.line_bytes,
-                self._engine.now,
-            )
-        if self._fault is not None:
-            # Mutation smoke: deterministically corrupt one response ID
-            # so tests can prove the PE-side ledger catches it.
-            req_id = self._fault.corrupt_moms_token(req_id)
-        offset = chain.offset[index]
-        data = self._drain_data
-        resp_out.push_response(
-            req_id, self._drain_addrs[index],
-            data[offset:offset + chain.size[index]], chain.port[index],
-        )
-        self.stats.responses += 1
-        self._drain_index = index + 1
-        if self._drain_index == len(chain.req_id):
-            self.subentries.free_chain(chain)
-            self._drain_chain = None
-            self._drain_items = None
-            self._drain_addrs = None
-            self._drain_data = None
-
     # -- request path -----------------------------------------------------
-
-    def _prime_queue_slots(self):
-        """Batch-hash every queued request's line (vector kernel).
-
-        When the head request's line has no memoized cuckoo slots yet,
-        the lines of *all* visible queued requests are hashed in one
-        numpy splitmix64 pass (see ``CuckooMshrFile.prime_slots``), so
-        the per-request lookups that follow are all memo hits.  Reads
-        the request ring directly -- SoA address column when the port
-        is a :class:`~repro.sim.SoaChannel`, token objects otherwise --
-        and touches no architectural state.
-        """
-        req_in = self.req_in
-        head = req_in._head
-        mask = req_in._mask
-        n = req_in._visible
-        line_bytes = self.params.line_bytes
-        col = getattr(req_in, "_col_addr", None)
-        if col is not None:
-            lines = {col[(head + i) & mask] // line_bytes
-                     for i in range(n)}
-        else:
-            ring = req_in._ring
-            lines = {ring[(head + i) & mask].addr // line_bytes
-                     for i in range(n)}
-        self.mshrs.prime_slots(lines)
 
     def _handle_request(self):
         """Process the head request; returns one of the outcome codes.
@@ -449,13 +351,6 @@ class MomsBank(Component):
                                      self._engine.now)
             return _PROGRESS
 
-        # Batch-hash the queued lines only when the backlog is deep: the
-        # splitmix64 batch then covers many future memo hits, while a
-        # shallow queue would pay the ring walk for one or two lines
-        # that the per-line memo hashes just as fast.
-        if self._vec_prime and req_in._visible >= 16 \
-                and line_addr not in self.mshrs._slot_cache:
-            self._prime_queue_slots()
         subentry = (req_id, port, offset, size)
         entry = self.mshrs.lookup(line_addr)
         if entry is not None:
@@ -463,7 +358,7 @@ class MomsBank(Component):
             if limit and entry.subentry_count >= limit:
                 stats.stall_subentry += 1
                 return _SLEEP
-            if not self._sub_append(entry.subentry_head, subentry):
+            if not self.subentries.append(entry.subentry_head, subentry):
                 stats.stall_subentry += 1
                 return _SLEEP
             entry.subentry_count += 1
@@ -487,7 +382,7 @@ class MomsBank(Component):
             stats.stall_mshr += 1
             return _RETRY if self._stateful_mshrs else _SLEEP
         chain = self.subentries.new_chain()
-        if not self._sub_append(chain, subentry):
+        if not self.subentries.append(chain, subentry):
             self.mshrs.remove(line_addr)
             stats.stall_subentry += 1
             return _RETRY if self._stateful_mshrs else _SLEEP

@@ -20,7 +20,6 @@ the latency the paper engineers around.
 from dataclasses import dataclass
 
 from repro.core.bank import BankParams, MomsBank
-from repro.sim.kernels import kernels_mode
 from repro.fabric.arbiter import RoundRobinArbiter
 from repro.fabric.crossbar import Crossbar
 from repro.fabric.crossing import cross_link
@@ -177,10 +176,6 @@ class MemoryHierarchy:
                                                          cache_scale)
         self.floorplan = floorplan
         self.queue_depth = queue_depth
-        # One kernel-mode resolution per build: every bank in a system
-        # agrees, and a harness flipping REPRO_KERNELS between builds
-        # gets cleanly-separated scalar and vector systems.
-        self.kernels = kernels_mode()
         self.private_banks = []
         self.shared_banks = []
         self.crossbars = []
@@ -337,7 +332,6 @@ class MemoryHierarchy:
                 store=self.mem,
                 name=f"shared{b}",
                 seed=b + 1,
-                kernels=self.kernels,
             )
             engine.add_component(bank)
             self.shared_banks.append(bank)
@@ -386,7 +380,6 @@ class MemoryHierarchy:
                 store=self.mem,
                 name=f"private{pe}",
                 seed=pe + 1,
-                kernels=self.kernels,
             )
             engine.add_component(bank)
             self.private_banks.append(bank)
@@ -413,7 +406,6 @@ class MemoryHierarchy:
                 store=self.mem,
                 name=f"private{pe}",
                 seed=pe + 101,
-                kernels=self.kernels,
             )
             engine.add_component(bank)
             self.private_banks.append(bank)
@@ -441,7 +433,6 @@ class MemoryHierarchy:
                 store=self.mem,
                 name=f"shared{b}",
                 seed=b + 1,
-                kernels=self.kernels,
             )
             engine.add_component(bank)
             self.shared_banks.append(bank)

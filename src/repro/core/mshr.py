@@ -15,7 +15,7 @@ Two implementations:
 
 from dataclasses import dataclass, field
 
-from repro.sim.kernels import lcg_jump, splitmix64_slots, victim_ways_batch
+from repro.sim.kernels import lcg_jump
 
 
 @dataclass(slots=True)
@@ -108,24 +108,6 @@ class CuckooMshrFile:
     def _slot(self, way, line_addr):
         return self._slots(line_addr)[way]
 
-    def prime_slots(self, line_addrs):
-        """Batch-fill the slot memo for *line_addrs* (vector kernel).
-
-        One numpy splitmix64 pass computes the candidate slots of every
-        yet-unhashed line at once; subsequent ``_slots`` calls are memo
-        hits.  Purely a precomputation -- no stats, no table state --
-        so scalar and vector runs stay state-identical.
-        """
-        cache = self._slot_cache
-        fresh = [la for la in line_addrs if la not in cache]
-        if not fresh:
-            return
-        rows = splitmix64_slots(
-            fresh, self._multipliers, self.way_size
-        ).tolist()
-        for line_addr, row in zip(fresh, rows):
-            cache[line_addr] = tuple(row)
-
     def lookup(self, line_addr):
         """Return the entry for *line_addr* or None."""
         self.stats.lookups += 1
@@ -203,7 +185,7 @@ class CuckooMshrFile:
                 return True
         return False
 
-    def failing_insert_run(self, line_addr, budget, vec=False):
+    def failing_insert_run(self, line_addr, budget):
         """Commit up to *budget* consecutive failing inserts of *line_addr*.
 
         The fused-retry kernel behind ``MomsBank.step_n``: a bank
@@ -218,92 +200,53 @@ class CuckooMshrFile:
         recorded as ``(way, slot) -> carried line address``, nothing
         touched until the attempt's verdict is known).  The run stops
         before the first attempt that would succeed and commits the k
-        failing attempts in bulk: ``_victim_state`` jumped
-        ``k * (max_kicks + 1)`` draws (one numpy ``lcg_batch`` pass
-        when *vec*), ``insert_failures += k``.  Returns k; the caller
-        replays the next, possibly succeeding, attempt on a real tick.
+        failing attempts in bulk: ``_victim_state`` advanced
+        ``k * (max_kicks + 1)`` draws, ``insert_failures += k``.
+        Returns k; the caller replays the next, possibly succeeding,
+        attempt on a real tick.
         """
         steps = self.max_kicks + 1
-        tables = self._tables
-        n_ways = self.n_ways
-        mask = (1 << 64) - 1
-        failures = 0
-        state = self._victim_state
-        committed = state
-        placed = False
         if self.occupancy >= self.capacity:
             # Retry storm on a *full* table: no empty slot exists and
             # none can appear inside the silent window (removals only
             # happen on real drain ticks), so every attempt fails by
             # construction -- the kick chain just shuffles residents
             # and unwinds.  The whole run collapses to the PRNG
-            # advance: budget * steps draws, jumped in O(log n) for
-            # the vector kernels or replayed as the reference scalar
-            # chain.
-            failures = budget
-            if vec:
-                committed = lcg_jump(state, budget * steps)
-            else:
-                for _ in range(budget * steps):
-                    state = (
-                        state * 6364136223846793005
-                        + 1442695040888963407
-                    ) & mask
-                committed = state
-            self._victim_state = committed
-            self.stats.insert_failures += failures
-            return failures
-        chunk = 4
+            # advance: budget * steps draws, jumped in O(log n).
+            self._victim_state = lcg_jump(self._victim_state, budget * steps)
+            self.stats.insert_failures += budget
+            return budget
+        tables = self._tables
+        n_ways = self.n_ways
+        mask = (1 << 64) - 1
+        failures = 0
+        state = committed = self._victim_state
+        placed = False
         while failures < budget and not placed:
-            if vec:
-                # Chunked so a short run doesn't pay for budget*steps
-                # draws up front; geometric growth keeps the numpy
-                # setup cost proportional to the run actually found,
-                # and each chunk reseeds from the last committed
-                # state, so the draw sequence is identical.
-                n_attempts = min(budget - failures, chunk)
-                chunk = min(chunk * 2, 64)
-                ways_seq, states = victim_ways_batch(
-                    state, n_attempts * steps, n_ways
-                )
-            else:
-                n_attempts = budget - failures
-                ways_seq = None
-            for attempt in range(n_attempts):
-                carried_addr = line_addr
-                view = {}
-                base = attempt * steps
-                for kick in range(steps):
-                    slots = self._slots(carried_addr)
-                    for way in range(n_ways):
-                        if ((way, slots[way]) not in view
-                                and tables[way][slots[way]] is None):
-                            placed = True
-                            break
-                    if placed:
+            carried_addr = line_addr
+            view = {}
+            for _ in range(steps):
+                slots = self._slots(carried_addr)
+                for way in range(n_ways):
+                    if ((way, slots[way]) not in view
+                            and tables[way][slots[way]] is None):
+                        placed = True
                         break
-                    if ways_seq is not None:
-                        way = ways_seq[base + kick]
-                    else:
-                        state = (
-                            state * 6364136223846793005
-                            + 1442695040888963407
-                        ) & mask
-                        way = (state >> 33) % n_ways
-                    slot = slots[way]
-                    occupant = view.get((way, slot))
-                    if occupant is None:
-                        occupant = tables[way][slot].line_addr
-                    view[(way, slot)] = carried_addr
-                    carried_addr = occupant
                 if placed:
                     break
+                state = (
+                    state * 6364136223846793005 + 1442695040888963407
+                ) & mask
+                way = (state >> 33) % n_ways
+                slot = slots[way]
+                occupant = view.get((way, slot))
+                if occupant is None:
+                    occupant = tables[way][slot].line_addr
+                view[(way, slot)] = carried_addr
+                carried_addr = occupant
+            if not placed:
                 failures += 1
-                if ways_seq is not None:
-                    committed = int(states[base + steps - 1])
-                else:
-                    committed = state
-            state = committed
+                committed = state
         if failures:
             self._victim_state = committed
             self.stats.insert_failures += failures

@@ -17,43 +17,9 @@ is exactly the situation the paper's PEs are designed to tolerate.
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.sim.kernels import fifo_service_starts, vector_enabled
 from repro.sim import Channel, Component
 
 LINE_BYTES = 64
-
-
-class _Segment:
-    """A read burst's response beats as one arithmetic-progression record.
-
-    The vector-kernel form of the response schedule: beat *i* of the
-    segment matures at ``t_next + i * step`` with address ``addr + i *
-    64`` and beat index ``beat + i`` -- so delivery pops whole due runs
-    with integer arithmetic instead of one (ready, response, requester)
-    tuple per beat, and the response tokens only materialize at the
-    moment they enter the requester's FIFO.  Fields mutate in place as
-    beats deliver; ``n`` is the beats remaining.
-
-    Write acknowledgements and any faulted run stay on per-beat tuples
-    (a latency-spike clamp or reorder fault rewrites individual beats,
-    which the segment form cannot express), so a schedule mixes entry
-    kinds only across those paths, never within one.
-    """
-
-    __slots__ = ("t_next", "step", "n", "addr", "beat", "last_index",
-                 "tag", "respond_to", "issued_at")
-
-    def __init__(self, t_next, step, n, addr, beat, last_index, tag,
-                 respond_to, issued_at):
-        self.t_next = t_next
-        self.step = step
-        self.n = n
-        self.addr = addr
-        self.beat = beat
-        self.last_index = last_index
-        self.tag = tag
-        self.respond_to = respond_to
-        self.issued_at = issued_at
 
 
 @dataclass
@@ -251,12 +217,8 @@ class DramChannel(Component):
         self.store = store
         self.name = name
         self.req = Channel(timings.request_queue_depth, name=f"{name}.req")
-        # Mixed deque of per-beat (ready_time, MemResponse, respond_to)
-        # tuples and _Segment records (vector mode, unfaulted reads).
-        self._scheduled = deque()
-        self._sched_beats = 0  # total undelivered beats across entries
+        self._scheduled = deque()  # (ready_time, MemResponse, respond_to)
         self._next_free = 0
-        self._vec = vector_enabled()
         self.stats = DramStats()
 
     def attach(self, engine):
@@ -294,11 +256,7 @@ class DramChannel(Component):
         """
         if not self._scheduled:
             return
-        head = self._scheduled[0]
-        if type(head) is tuple:
-            head_time, _, respond_to = head
-        else:
-            head_time, respond_to = head.t_next, head.respond_to
+        head_time, _, respond_to = self._scheduled[0]
         if head_time > engine.now:
             engine.wake_at(self, head_time)
         elif delivered >= self.timings.max_deliveries_per_cycle \
@@ -311,20 +269,12 @@ class DramChannel(Component):
         """Next cycle at which a scheduled response becomes ready."""
         if not self._scheduled:
             return None
-        head = self._scheduled[0]
-        return head[0] if type(head) is tuple else head.t_next
-
-    def _tail_ready(self):
-        """Maturity cycle of the newest scheduled beat."""
-        tail = self._scheduled[-1]
-        if type(tail) is tuple:
-            return tail[0]
-        return tail.t_next + (tail.n - 1) * tail.step
+        return self._scheduled[0][0]
 
     @property
     def pending(self):
-        """Response beats scheduled but not yet delivered."""
-        return self._sched_beats
+        """Responses scheduled but not yet delivered."""
+        return len(self._scheduled)
 
     def _deliver(self, engine):
         delivered = 0
@@ -336,78 +286,12 @@ class DramChannel(Component):
         tele = self._tele
         trace = self._trace
         response_pool = MemResponse._pool
-        while delivered < limit and scheduled:
-            head = scheduled[0]
-            if type(head) is not tuple:
-                # Segment entry: pop the due run with arithmetic and
-                # materialize response tokens only as they enter the
-                # requester's FIFO.
-                t_next = head.t_next
-                if t_next > now:
-                    break
-                step = head.step
-                n_due = (now - t_next) // step + 1
-                if n_due > head.n:
-                    n_due = head.n
-                respond_to = head.respond_to
-                if respond_to is None:
-                    # Fire-and-forget beats evaporate without ever
-                    # materializing (their release point).
-                    take = min(n_due, limit - delivered)
-                    if ledger is not None:
-                        for i in range(take):
-                            ledger.retire(("dram", self.name),
-                                          head.addr + i * LINE_BYTES)
-                else:
-                    space = respond_to.free_slots()
-                    if space <= 0:
-                        break  # head-of-line blocking at the requester
-                    take = min(n_due, limit - delivered, space)
-                    # One contiguous copy covers the whole batch (the
-                    # segment's beats are address-consecutive); each
-                    # response slices its 64-byte window out of it.
-                    blob = store.read_bytes(head.addr, take * LINE_BYTES)
-                    addr = head.addr
-                    beat = head.beat
-                    last_index = head.last_index
-                    tag = head.tag
-                    issued_at = head.issued_at
-                    batch = []
-                    for i in range(take):
-                        response = _acquire_response(
-                            tag, addr, beat, beat == last_index, False,
-                            issued_at,
-                        )
-                        response.data = \
-                            blob[i * LINE_BYTES:(i + 1) * LINE_BYTES]
-                        if ledger is not None:
-                            ledger.retire(("dram", self.name), addr)
-                        if tele is not None and issued_at >= 0:
-                            tele.dram_deliver(self.name, now - issued_at)
-                        if trace is not None:
-                            trace.dram_deliver(self.name, respond_to,
-                                               addr, now)
-                        batch.append(response)
-                        addr += LINE_BYTES
-                        beat += 1
-                    respond_to.push_many(batch)
-                head.n -= take
-                head.beat += take
-                head.addr += take * LINE_BYTES
-                head.t_next = t_next + take * step
-                self._sched_beats -= take
-                delivered += take
-                if head.n == 0:
-                    scheduled.popleft()
-                continue
-            if head[0] > now:
-                break
-            _, response, respond_to = head
+        while delivered < limit and scheduled and scheduled[0][0] <= now:
+            _, response, respond_to = scheduled[0]
             if respond_to is None:
                 # Fire-and-forget request: the beat evaporates here, so
                 # this is its release point (data was never attached).
                 scheduled.popleft()
-                self._sched_beats -= 1
                 if ledger is not None:
                     ledger.retire(("dram", self.name), response.addr)
                 if response_pool is not None:
@@ -426,12 +310,10 @@ class DramChannel(Component):
                 len(batch) < space
                 and delivered + len(batch) < limit
                 and scheduled
-                and type(scheduled[0]) is tuple
                 and scheduled[0][0] <= now
                 and scheduled[0][2] is respond_to
             ):
                 _, response, _ = scheduled.popleft()
-                self._sched_beats -= 1
                 if ledger is not None:
                     ledger.retire(("dram", self.name), response.addr)
                 if tele is not None and response.issued_at >= 0:
@@ -489,18 +371,14 @@ class DramChannel(Component):
         else:
             cpb = timings.cycles_per_beat(request.kind)
             ready_base = start + timings.latency + extra_latency
-            if self._vec and self._fault is None:
-                self._schedule_segment(ready_base, cpb, beats, addr, tag,
-                                       respond_to, now)
-            else:
-                last = beats - 1
-                for beat in range(beats):
-                    response = _acquire_response(
-                        tag, addr + beat * LINE_BYTES, beat, beat == last,
-                        False, now,
-                    )
-                    self._schedule(ready_base + (beat + 1) * cpb, response,
-                                   respond_to)
+            last = beats - 1
+            for beat in range(beats):
+                response = _acquire_response(
+                    tag, addr + beat * LINE_BYTES, beat, beat == last,
+                    False, now,
+                )
+                self._schedule(ready_base + (beat + 1) * cpb, response,
+                               respond_to)
             self._next_free = start + beats * cpb
             stats.bytes_read += beats * LINE_BYTES
             stats.busy_cycles += beats * cpb
@@ -510,7 +388,7 @@ class DramChannel(Component):
             else:
                 stats.reads_burst += 1
                 stats.lines_burst += beats
-            queue_depth = req._visible + self._sched_beats
+            queue_depth = req._visible + len(self._scheduled)
             if queue_depth > stats.peak_queue:
                 stats.peak_queue = queue_depth
         # The channel is a request's single consumer; recycle it (the
@@ -549,11 +427,7 @@ class DramChannel(Component):
         limit = budget
         scheduled = self._scheduled
         if scheduled:
-            head = scheduled[0]
-            if type(head) is tuple:
-                head_time, _, respond_to = head
-            else:
-                head_time, respond_to = head.t_next, head.respond_to
+            head_time, _, respond_to = scheduled[0]
             if head_time <= now:
                 # Due head: fusable only while head-of-line blocked on
                 # a full requester FIFO; deliverable or evaporating
@@ -583,112 +457,27 @@ class DramChannel(Component):
             k += 1
         if k < 1:
             return 0
-        if self._vec and k >= 16 and self._next_free >= now + k:
-            self._accept_batch_vec(k, now)
-        else:
-            for j in range(k):
-                self._accept_one(now + j)
+        for j in range(k):
+            self._accept_one(now + j)
         return k
 
-    def _accept_batch_vec(self, k, now):
-        """Vector accept kernel: *k* queued reads on a backlogged bus.
-
-        Only valid when ``_next_free`` stays at or ahead of every
-        accept cycle (caller-checked), so each request's start time is
-        ``next_free`` plus the cumulative service of the requests
-        before it -- one ``fifo_service_starts`` pass -- and the stats
-        become whole-batch reductions.  Bit-identical to *k*
-        consecutive :meth:`_accept_one` calls; reachable only with the
-        fault/trace/ledger hooks unset, so the recycle below matches
-        the per-cycle path exactly.
-        """
-        req = self.req
-        timings = self.timings
-        stats = self.stats
-        latency = timings.latency
-        visible0 = req._visible
-        requests = [req.pop() for _ in range(k)]
-        beats = [r.beats for r in requests]
-        cpbs = [timings.cycles_per_beat(r.kind) for r in requests]
-        services = [b * c for b, c in zip(beats, cpbs)]
-        starts = fifo_service_starts(self._next_free, services)
-        pool = MemRequest._pool
-        depth = visible0 + self._sched_beats
-        peak = stats.peak_queue
-        singles = 0
-        lines_single = 0
-        for j, request in enumerate(requests):
-            n = beats[j]
-            self._schedule_segment(
-                int(starts[j]) + latency, cpbs[j], n, request.addr,
-                request.tag, request.respond_to, now + j,
-            )
-            # Same post-pop depth _accept_one computes: one fewer
-            # queued request, this request's beats now scheduled.
-            depth += n - 1
-            if depth > peak:
-                peak = depth
-            if request.kind == "single":
-                singles += 1
-                lines_single += n
-            if pool is not None:
-                request.data = None
-                request.tag = None
-                request.respond_to = None
-                pool.append(request)
-        total_beats = sum(beats)
-        total_service = sum(services)
-        self._next_free = int(starts[-1]) + services[-1]
-        stats.bytes_read += total_beats * LINE_BYTES
-        stats.busy_cycles += total_service
-        stats.reads_single += singles
-        stats.reads_burst += k - singles
-        stats.lines_single += lines_single
-        stats.lines_burst += total_beats - lines_single
-        stats.peak_queue = peak
-
     def _schedule(self, ready_time, response, respond_to):
-        if self._scheduled and ready_time < self._tail_ready():
+        if self._scheduled and ready_time < self._scheduled[-1][0]:
             if self._fault is not None:
                 # An injected latency spike ending between two requests
                 # would step the schedule backwards; clamp to the tail
                 # so the FIFO delivery order stays intact.
-                ready_time = self._tail_ready()
+                ready_time = self._scheduled[-1][0]
             else:
                 # Constant latency and FIFO acceptance keep this monotonic.
                 raise AssertionError(
                     "DRAM response schedule went out of order"
                 )
         self._scheduled.append((ready_time, response, respond_to))
-        self._sched_beats += 1
         if self._ledger is not None:
             self._ledger.issue(("dram", self.name), response.addr)
         if self._fault is not None:
             self._fault.dram_maybe_reorder(self._scheduled)
-
-    def _schedule_segment(self, ready_base, cpb, beats, addr, tag,
-                          respond_to, now):
-        """Schedule a read burst's beats as one :class:`_Segment`.
-
-        The vector-kernel counterpart of the per-beat ``_schedule``
-        loop: beat *i* matures at ``ready_base + (i + 1) * cpb`` with
-        address ``addr + i * 64``, exactly the tuples the scalar path
-        appends.  Only reachable while unfaulted (the fault hooks
-        rewrite individual beats), so the monotonicity violation is
-        always an error here.
-        """
-        first_ready = ready_base + cpb
-        if self._scheduled and first_ready < self._tail_ready():
-            raise AssertionError("DRAM response schedule went out of order")
-        self._scheduled.append(_Segment(
-            first_ready, cpb, beats, addr, 0, beats - 1, tag, respond_to,
-            now,
-        ))
-        self._sched_beats += beats
-        if self._ledger is not None:
-            for beat in range(beats):
-                self._ledger.issue(("dram", self.name),
-                                   addr + beat * LINE_BYTES)
 
     def is_idle(self):
         return not self._scheduled and not self.req.pending

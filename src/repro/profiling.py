@@ -17,7 +17,7 @@ Output is three tables:
   simulated cycle (near zero when the freelists are circulating).
 
 The perf work in this tree (SoA channels, token pooling, batched
-kernels) is measured against exactly this view; keep using it before
+channel operations) is measured against exactly this view; keep using it before
 and after any hot-path change.
 """
 
@@ -38,11 +38,6 @@ def add_profile_arguments(parser):
         "--engine", default=None, choices=("demand", "legacy"),
         help="simulation engine for profile/trace/spans "
              "(default: REPRO_ENGINE env, else demand)",
-    )
-    parser.add_argument(
-        "--kernels", default=None, choices=("vector", "scalar"),
-        help="hot-loop kernel mode for profile/trace/spans "
-             "(default: REPRO_KERNELS env, else vector)",
     )
     parser.add_argument(
         "--top", type=int, default=20, metavar="N",
@@ -110,8 +105,6 @@ def run_profile(args, log=print):
     # simulation stack (same convention as the trace subcommand).
     if args.engine is not None:
         os.environ["REPRO_ENGINE"] = args.engine
-    if args.kernels is not None:
-        os.environ["REPRO_KERNELS"] = args.kernels
 
     from repro.accel.config import (
         ArchitectureConfig,
@@ -148,9 +141,8 @@ def run_profile(args, log=print):
     modules, functions = _collect_rows(stats)
 
     engine_name = os.environ.get("REPRO_ENGINE", "demand") or "demand"
-    kernels_name = os.environ.get("REPRO_KERNELS", "vector") or "vector"
     log(f"profiled: {args.algorithm} on {graph.name} / {args.org} 4x4, "
-        f"engine={engine_name}, kernels={kernels_name}")
+        f"engine={engine_name}")
     log(f"  {result.cycles:,} cycles in {wall:.3f}s wall "
         f"({result.cycles / wall:,.0f} cycles/s), "
         f"{result.edges_processed:,} edges")

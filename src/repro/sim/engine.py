@@ -201,7 +201,7 @@ class Engine:
         self.fused_runs = 0
         self.fused_cycles = 0
         self.fusion_abort_reasons = {}
-        # Read at construction (like REPRO_KERNELS) so one process can
+        # Read at construction (like REPRO_ENGINE) so one process can
         # race fused vs unfused systems; snapshots carry the cap, so a
         # resumed run replays with the original's fusion decisions.
         self._fusion_cap = fusion_cap_from_env() if self._demand_enabled \

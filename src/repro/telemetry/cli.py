@@ -45,12 +45,10 @@ def add_trace_arguments(parser):
 
 def run_trace(args, log=print):
     """Run the traced point, export, validate; returns an exit code."""
-    # Mode knobs must land in the environment before the simulation
-    # stack is imported (engine/kernel selection happens at build).
+    # The engine knob must land in the environment before the
+    # simulation stack is imported (engine selection happens at build).
     if getattr(args, "engine", None):
         os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "kernels", None):
-        os.environ["REPRO_KERNELS"] = args.kernels
     # Imported here: the CLI parser must stay importable without the
     # simulation stack.
     from repro.accel.config import (

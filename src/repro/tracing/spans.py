@@ -20,8 +20,7 @@ Three contracts, all pinned by tests:
   only on ``splitmix64(mix(pe, seq))`` of its issuing PE and that
   PE's issue sequence number -- both functions of the simulated
   schedule, not of host state or engine internals -- so the demand and
-  legacy engines, and the vector and scalar kernels, emit
-  byte-identical span streams.
+  legacy engines emit byte-identical span streams.
 * **Snapshot-safe.**  Tracer state is plain data (dicts, deques,
   ints) registered in the checkpoint ``SNAPSHOT_REGISTRY``; a traced
   run snapshots and resumes bit-identically.

@@ -99,18 +99,18 @@ class TestSyntheticResolution:
         graph = graph_of(
             ("repro/a.py",
              "class Decoder:\n"
-             "    def __init__(self, vec):\n"
-             "        self._decode_step = (self._decode_vec if vec\n"
+             "    def __init__(self, fast):\n"
+             "        self._decode_step = (self._decode_fast if fast\n"
              "                             else self._decode_scalar)\n"
              "    def run(self):\n"
              "        self._decode_step()\n"
-             "    def _decode_vec(self):\n"
+             "    def _decode_fast(self):\n"
              "        pass\n"
              "    def _decode_scalar(self):\n"
              "        pass\n"),
         )
         callees = set(graph.callees(("repro/a.py", "Decoder.run")))
-        assert ("repro/a.py", "Decoder._decode_vec") in callees
+        assert ("repro/a.py", "Decoder._decode_fast") in callees
         assert ("repro/a.py", "Decoder._decode_scalar") in callees
 
     def test_bare_name_prefers_same_file(self):

@@ -3,8 +3,8 @@
 The contract (DESIGN.md Section 6.7): restoring a mid-run snapshot and
 resuming must produce *exactly* the result the uninterrupted run
 produces -- same final cycle count, same iteration count, same stats
-dict, same output values -- across engines, kernel modes, algorithms,
-organizations, and with a fault plan actively injecting mid-window.
+dict, same output values -- across engines, algorithms, organizations,
+and with a fault plan actively injecting mid-window.
 """
 
 import numpy as np
@@ -56,16 +56,13 @@ def _assert_replay_identical(algorithm, organization, tmp_path,
     return header
 
 
-class TestEnginesAndKernels:
+class TestEngines:
     @pytest.mark.parametrize("engine", ["demand", "legacy"])
-    @pytest.mark.parametrize("kernels", ["vector", "scalar"])
-    def test_replay_identity(self, engine, kernels, tmp_path, monkeypatch):
+    def test_replay_identity(self, engine, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", engine)
-        monkeypatch.setenv("REPRO_KERNELS", kernels)
         header = _assert_replay_identical("pagerank", "shared", tmp_path)
-        # The snapshot records the modes it was built under.
+        # The snapshot records the engine it was built under.
         assert header["engine"] == engine
-        assert header["kernels"] == kernels
 
 
 class TestAlgorithms:

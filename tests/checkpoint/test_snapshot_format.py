@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import os
+import pathlib
 import pickle
+import shutil
 import struct
 
 import pytest
@@ -22,7 +24,14 @@ from repro.checkpoint import (
     read_header,
     save_snapshot,
 )
+from repro.checkpoint import snapshot as snapshot_module
 from repro.graph import web_graph
+
+# A format-1 snapshot written by the last code version that still had
+# the kernel-mode switch, in its scalar mode: the BFS point of the
+# ``system`` fixture (shared MOMS, demand engine), taken mid-run.
+FORMAT1_SCALAR = (pathlib.Path(__file__).resolve().parent / "data"
+                  / "format1_scalar.snap")
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +50,20 @@ def _snap(system, tmp_path, name="a.snap"):
     return path
 
 
+def _rewrite_header(path, **changes):
+    """Patch header keys in place; the payload checksum stays valid."""
+    with open(path, "rb") as fh:
+        fh.read(len(SNAPSHOT_MAGIC))
+        (blob_len,) = struct.unpack(">I", fh.read(4))
+        header = json.loads(fh.read(blob_len))
+        payload = fh.read()
+    header.update(changes)
+    blob = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC + struct.pack(">I", len(blob))
+                 + blob + payload)
+
+
 class TestContainerFormat:
     def test_roundtrip_header(self, system, tmp_path):
         path = _snap(system, tmp_path)
@@ -50,6 +73,7 @@ class TestContainerFormat:
         assert header["algorithm"] == "bfs"
         assert header["organization"] == "shared"
         assert header["engine"] in ("demand", "legacy")
+        assert "kernels" not in header
         assert header["payload_bytes"] > 0
 
     def test_roundtrip_load(self, system, tmp_path):
@@ -97,16 +121,7 @@ class TestContainerFormat:
 
     def test_newer_format_rejected_with_pointer(self, system, tmp_path):
         path = _snap(system, tmp_path)
-        with open(path, "rb") as fh:
-            fh.read(len(SNAPSHOT_MAGIC))
-            (blob_len,) = struct.unpack(">I", fh.read(4))
-            header = json.loads(fh.read(blob_len))
-            payload = fh.read()
-        header["format"] = SNAPSHOT_FORMAT + 1
-        blob = json.dumps(header, sort_keys=True).encode()
-        with open(path, "wb") as fh:
-            fh.write(SNAPSHOT_MAGIC + struct.pack(">I", len(blob))
-                     + blob + payload)
+        _rewrite_header(path, format=SNAPSHOT_FORMAT + 1)
         with pytest.raises(SnapshotError, match="newer"):
             read_header(path)
 
@@ -119,6 +134,44 @@ class TestContainerFormat:
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         assert read_header(path)["algorithm"] == "bfs"
+
+
+class TestFormatOne:
+    """Snapshots from before the kernel-mode switch was retired."""
+
+    def test_scalar_snapshot_resumes_bit_identically(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", "demand")
+        header = read_header(str(FORMAT1_SCALAR))
+        assert header["format"] == 1
+        assert header["kernels"] == "scalar"
+        restored, _ = load_snapshot(str(FORMAT1_SCALAR))
+        assert restored.engine.now == header["cycle"] > 0
+        replayed = restored.resume_run()
+
+        graph = web_graph(200, 800, seed=3)
+        config = ArchitectureConfig(
+            _design(2, 2, "shared", "bfs", n_channels=2),
+            **SCALED_DEFAULTS,
+        )
+        baseline = AcceleratorSystem(graph, "bfs", config).run()
+        assert header["cycle"] < baseline.cycles  # taken mid-run
+        assert replayed.cycles == baseline.cycles
+        assert replayed.iterations == baseline.iterations
+        assert replayed.stats == baseline.stats
+        assert (replayed.values == baseline.values).all()
+
+    def test_vector_snapshot_refused_before_unpickling(self, tmp_path,
+                                                      monkeypatch):
+        path = str(tmp_path / "vector.snap")
+        shutil.copy(FORMAT1_SCALAR, path)
+        _rewrite_header(path, kernels="vector")
+
+        def no_unpickle(*args, **kwargs):
+            raise AssertionError("payload was unpickled")
+
+        monkeypatch.setattr(snapshot_module.pickle, "loads", no_unpickle)
+        with pytest.raises(SnapshotError, match="retired 'vector'"):
+            load_snapshot(path)
 
 
 class TestAtomicity:

@@ -5,6 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import AssociativeMshrFile, CuckooMshrFile
+from repro.sim.kernels import lcg_jump
+
+LCG_A = 6364136223846793005
+LCG_C = 1442695040888963407
+MASK64 = (1 << 64) - 1
 
 
 class TestCuckooMshrFile:
@@ -100,6 +105,75 @@ class TestCuckooMshrFile:
         assert mshrs.occupancy == len(model)
         for line in model:
             assert mshrs.lookup(line) is not None
+
+
+def _table_layout(mshrs):
+    return [[None if entry is None else entry.line_addr for entry in table]
+            for table in mshrs._tables]
+
+
+def _filled(capacity, seed, max_kicks=16):
+    """A cuckoo file filled until inserts start failing."""
+    mshrs = CuckooMshrFile(capacity, n_ways=4, max_kicks=max_kicks,
+                           seed=seed)
+    line = 0
+    while mshrs.occupancy < mshrs.capacity and line < 50 * capacity:
+        mshrs.insert(line)
+        line += 1
+    return mshrs, line
+
+
+class TestLcgJump:
+    @pytest.mark.parametrize("n", [0, 1, 2, 33, 4096 * 33])
+    @pytest.mark.parametrize("seed", [
+        0, 1, 0x9E3779B97F4A7C15, MASK64, 0x1234_5678_9ABC_DEF0,
+    ])
+    def test_matches_scalar_advances(self, seed, n):
+        state = seed
+        for _ in range(n):
+            state = (state * LCG_A + LCG_C) & MASK64
+        assert lcg_jump(seed, n) == state
+
+    def test_composes(self):
+        seed = 0xDEADBEEF
+        assert lcg_jump(lcg_jump(seed, 1000), 2345) == lcg_jump(seed, 3345)
+
+
+class TestFailingInsertRun:
+    """The fused retry spin equals the same number of real failing
+    inserts: table layout, PRNG state and stats all match."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_full_table_run_matches_repeated_inserts(self, seed):
+        fused, line = _filled(64, seed)
+        replayed, _ = _filled(64, seed)
+        assert fused.occupancy == fused.capacity
+        budget = 4096
+        assert fused.failing_insert_run(line, budget) == budget
+        for _ in range(budget):
+            assert replayed.insert(line) is None
+        assert fused._victim_state == replayed._victim_state
+        assert fused.stats.as_dict() == replayed.stats.as_dict()
+        assert _table_layout(fused) == _table_layout(replayed)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_partial_table_run_stops_before_a_success(self, seed):
+        # Short kick chains on a nearly full table: some attempts fail,
+        # and a later draw sequence may place the line.
+        fused, line = _filled(64, seed, max_kicks=2)
+        fused.remove(next(fused.entries()).line_addr)
+        replayed, _ = _filled(64, seed, max_kicks=2)
+        replayed.remove(next(replayed.entries()).line_addr)
+        target = line + 1000
+        k = fused.failing_insert_run(target, 256)
+        for _ in range(k):
+            assert replayed.insert(target) is None
+        assert fused._victim_state == replayed._victim_state
+        assert fused.stats.as_dict() == replayed.stats.as_dict()
+        assert _table_layout(fused) == _table_layout(replayed)
+        if k < 256:
+            # The run stopped exactly before the attempt that succeeds.
+            assert replayed.insert(target) is not None
 
 
 class TestAssociativeMshrFile:

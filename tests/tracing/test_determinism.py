@@ -3,8 +3,8 @@
 Three contracts from DESIGN 6.8:
 
 * the exported span JSONL is **byte-identical** across the demand and
-  legacy engines and the vector and scalar kernels (sampling depends
-  only on schedule-determined (pe, seq) coordinates);
+  legacy engines (sampling depends only on schedule-determined
+  (pe, seq) coordinates);
 * that identity survives an active fault plan (a DRAM-spike plan
   shifts every timestamp, but shifts them identically in all modes);
 * attaching a tracer changes nothing the model computes.
@@ -22,18 +22,11 @@ from repro.tracing.export import spans_jsonl_bytes
 
 GRAPH = web_graph(900, 4500, seed=11)
 
-MODES = [
-    ("demand", "vector"),
-    ("demand", "scalar"),
-    ("legacy", "vector"),
-    ("legacy", "scalar"),
-]
+MODES = ["demand", "legacy"]
 
 
-def _run(engine_env, kernels_env, algorithm, monkeypatch,
-         spans=True, fault_plan=None):
+def _run(engine_env, algorithm, monkeypatch, spans=True, fault_plan=None):
     monkeypatch.setenv("REPRO_ENGINE", engine_env)
-    monkeypatch.setenv("REPRO_KERNELS", kernels_env)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, algorithm, n_channels=2),
         **SCALED_DEFAULTS,
@@ -63,15 +56,14 @@ class TestSpanStreamDeterminism:
     @pytest.mark.parametrize("algorithm", ["pagerank", "bfs"])
     def test_byte_identical_across_engines_and_kernels(
             self, algorithm, monkeypatch):
+        # One kernel path remains, so the engines are the modes to race.
         streams = {}
-        for engine_env, kernels_env in MODES:
-            system, result = _run(
-                engine_env, kernels_env, algorithm, monkeypatch
-            )
-            streams[(engine_env, kernels_env)] = (
+        for engine_env in MODES:
+            system, result = _run(engine_env, algorithm, monkeypatch)
+            streams[engine_env] = (
                 result.cycles, spans_jsonl_bytes(system.tracer)
             )
-        reference_cycles, reference = streams[("demand", "vector")]
+        reference_cycles, reference = streams["demand"]
         # Not vacuous: the stream carries actual sampled spans.
         assert reference.count(b"\n") > 10
         for mode, (cycles, stream) in streams.items():
@@ -80,23 +72,22 @@ class TestSpanStreamDeterminism:
 
     def test_byte_identical_under_dram_fault_plan(self, monkeypatch):
         streams = {}
-        for engine_env, kernels_env in MODES:
+        for engine_env in MODES:
             system, _result = _run(
-                engine_env, kernels_env, "pagerank", monkeypatch,
+                engine_env, "pagerank", monkeypatch,
                 fault_plan=FaultPlan.dram_plan(seed=1),
             )
-            streams[(engine_env, kernels_env)] = \
-                spans_jsonl_bytes(system.tracer)
-        reference = streams[("demand", "vector")]
+            streams[engine_env] = spans_jsonl_bytes(system.tracer)
+        reference = streams["demand"]
         assert reference.count(b"\n") > 10
         for mode, stream in streams.items():
             assert stream == reference, mode
 
     def test_fault_plan_actually_shifts_the_stream(self, monkeypatch):
         """The fault-plan test above must not be comparing no-op runs."""
-        clean_sys, _ = _run("demand", "vector", "pagerank", monkeypatch)
+        clean_sys, _ = _run("demand", "pagerank", monkeypatch)
         faulty_sys, _ = _run(
-            "demand", "vector", "pagerank", monkeypatch,
+            "demand", "pagerank", monkeypatch,
             fault_plan=FaultPlan.dram_plan(seed=1),
         )
         assert spans_jsonl_bytes(clean_sys.tracer) \
@@ -107,11 +98,9 @@ class TestTracerNeverPerturbs:
     @pytest.mark.parametrize("engine_env", ["demand", "legacy"])
     def test_tracing_on_matches_off(self, engine_env, monkeypatch):
         _off_sys, off_res = _run(
-            engine_env, "vector", "pagerank", monkeypatch, spans=False
+            engine_env, "pagerank", monkeypatch, spans=False
         )
-        on_sys, on_res = _run(
-            engine_env, "vector", "pagerank", monkeypatch, spans=True
-        )
+        on_sys, on_res = _run(engine_env, "pagerank", monkeypatch, spans=True)
         assert _fingerprint(on_res) == _fingerprint(off_res)
         # Not vacuous: the traced run actually collected spans.
         assert on_sys.tracer.spans

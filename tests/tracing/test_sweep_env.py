@@ -95,7 +95,7 @@ class TestRunPointWiring:
 
 class TestCliParser:
     def test_engine_and_kernels_flags_parse_once(self, capsys):
-        """The shared parser must accept the mode flags exactly once
+        """The shared parser must accept the engine flag exactly once
         (a duplicate add_argument would crash at parser build)."""
         from repro.__main__ import main
 
