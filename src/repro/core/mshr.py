@@ -13,9 +13,21 @@ Two implementations:
   non-blocking caches throttle irregular workloads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 from repro.sim.kernels import lcg_jump
+
+_MASK64 = (1 << 64) - 1
+
+
+@cache
+def _fail_map(max_kicks):
+    """``(A, C)`` of ``x -> A*x + C``: the ``max_kicks + 1`` victim draws
+    of one failing insert on a full table.  A module-level cache, so
+    snapshots carry no derived constants."""
+    c = lcg_jump(0, max_kicks + 1)
+    return (lcg_jump(1, max_kicks + 1) - c) & _MASK64, c
 
 
 @dataclass(slots=True)
@@ -63,6 +75,10 @@ class CuckooMshrFile:
     _fault = None
 
     def __init__(self, capacity, n_ways=4, max_kicks=16, seed=1):
+        if n_ways < 1:
+            raise ValueError(f"n_ways must be >= 1, got {n_ways}")
+        if max_kicks < 0:
+            raise ValueError(f"max_kicks must be >= 0, got {max_kicks}")
         if capacity < n_ways:
             raise ValueError("capacity must be at least n_ways")
         self.n_ways = n_ways
@@ -105,9 +121,6 @@ class CuckooMshrFile:
             self._slot_cache[line_addr] = slots
         return slots
 
-    def _slot(self, way, line_addr):
-        return self._slots(line_addr)[way]
-
     def lookup(self, line_addr):
         """Return the entry for *line_addr* or None."""
         self.stats.lookups += 1
@@ -130,47 +143,69 @@ class CuckooMshrFile:
             # exactly like a first attempt.
             self.stats.insert_failures += 1
             return None
+        if self.occupancy >= self.capacity:
+            # Full table: no slot is empty, so the kick chain can only
+            # shuffle residents and unwind.  Its one lasting effect, the
+            # max_kicks + 1 victim draws, is a single affine step.
+            a, c = _fail_map(self.max_kicks)
+            self._victim_state = (self._victim_state * a + c) & _MASK64
+            self.stats.insert_failures += 1
+            return None
         entry = MshrEntry(line_addr)
-        carried = entry
+        kicks, self._victim_state = self._kick_walk(
+            entry, self._victim_state, True)
+        stats = self.stats
+        if kicks < 0:
+            stats.insert_failures += 1
+            return None
+        self.occupancy += 1
+        stats.inserts += 1
+        stats.kicks += kicks
+        if self.occupancy > stats.peak_occupancy:
+            stats.peak_occupancy = self.occupancy
+        return entry
+
+    def _kick_walk(self, carried, state, keep):
+        """Walk one bounded kick chain for entry *carried*, in place.
+
+        Returns ``(kicks, state)``: displacements before an empty slot
+        (-1 past ``max_kicks``) and the victim PRNG state after the
+        draws.  A failed chain, or any chain unless *keep* (a dry run),
+        is unwound exactly (hardware bounds speculative kicks the same
+        way).
+        """
         tables = self._tables
+        memo = self._slot_cache
+        n_ways = self.n_ways
         path = []  # (way, slot) of every displacement, for exact unwind
         for kick in range(self.max_kicks + 1):
+            addr = carried.line_addr
+            slots = memo.get(addr) or self._slots(addr)
             # First look for any empty slot among the d candidate ways.
-            slots = self._slots(carried.line_addr)
-            placed = False
             for way, slot in enumerate(slots):
                 if tables[way][slot] is None:
-                    tables[way][slot] = carried
-                    placed = True
                     break
-            if placed:
-                self.occupancy += 1
-                self.stats.inserts += 1
-                self.stats.kicks += kick
-                if self.occupancy > self.stats.peak_occupancy:
-                    self.stats.peak_occupancy = self.occupancy
-                return entry
-            # All full: displace a pseudo-randomly chosen victim way so
-            # kick chains explore the table instead of looping.
-            self._victim_state = (
-                self._victim_state * 6364136223846793005 + 1442695040888963407
-            ) % (1 << 64)
-            way = (self._victim_state >> 33) % self.n_ways
-            slot = slots[way]
-            resident = tables[way][slot]
-            tables[way][slot] = carried
-            path.append((way, slot))
-            carried = resident
-        # Kick chain too long: unwind the displacements in reverse so the
-        # table is exactly as before (hardware bounds speculative kicks
-        # the same way).
+            else:
+                # All full: displace a pseudo-randomly chosen victim way
+                # so kick chains explore the table instead of looping.
+                state = (state * 6364136223846793005
+                         + 1442695040888963407) & _MASK64
+                way = (state >> 33) % n_ways
+                slot = slots[way]
+                table = tables[way]
+                table[slot], carried = carried, table[slot]
+                path.append((way, slot))
+                continue
+            if keep:
+                tables[way][slot] = carried
+                return kick, state
+            break
+        else:
+            kick = -1
         for way, slot in reversed(path):
-            displaced = self._tables[way][slot]
-            self._tables[way][slot] = carried
-            carried = displaced
-        assert carried is entry
-        self.stats.insert_failures += 1
-        return None
+            table = tables[way]
+            table[slot], carried = carried, table[slot]
+        return kick, state
 
     def contains(self, line_addr):
         """Pure presence probe: no lookup/hit stats (fusion oracle).
@@ -190,66 +225,31 @@ class CuckooMshrFile:
 
         The fused-retry kernel behind ``MomsBank.step_n``: a bank
         stalled on cuckoo insert failure re-attempts the same insert
-        every cycle, and each failing attempt leaves the table exactly
-        as before (the exact unwind in :meth:`insert`), advancing only
-        the victim PRNG by ``max_kicks + 1`` draws and
-        ``insert_failures`` by one.  Consecutive attempts are *not*
-        automatically failures -- a different victim-way draw can place
-        the entry with the table unchanged -- so each attempt is
-        dry-run against an overlay view of the table (displacements
-        recorded as ``(way, slot) -> carried line address``, nothing
-        touched until the attempt's verdict is known).  The run stops
-        before the first attempt that would succeed and commits the k
-        failing attempts in bulk: ``_victim_state`` advanced
-        ``k * (max_kicks + 1)`` draws, ``insert_failures += k``.
-        Returns k; the caller replays the next, possibly succeeding,
-        attempt on a real tick.
+        every cycle; a failing attempt only advances the victim PRNG
+        ``max_kicks + 1`` draws and ``insert_failures`` by one.  A
+        later draw sequence may still place the entry, so each attempt
+        is a dry-run :meth:`_kick_walk`; the run stops before the first
+        that would succeed and commits the k failures in bulk.  Returns
+        k; the caller replays the next attempt on a real tick.
         """
-        steps = self.max_kicks + 1
         if self.occupancy >= self.capacity:
-            # Retry storm on a *full* table: no empty slot exists and
-            # none can appear inside the silent window (removals only
-            # happen on real drain ticks), so every attempt fails by
-            # construction -- the kick chain just shuffles residents
-            # and unwinds.  The whole run collapses to the PRNG
-            # advance: budget * steps draws, jumped in O(log n).
-            self._victim_state = lcg_jump(self._victim_state, budget * steps)
+            # Full table: every attempt fails (see insert) and no slot
+            # frees inside the silent window (removals need real drain
+            # ticks), so the run is budget * (max_kicks + 1) draws.
+            self._victim_state = lcg_jump(
+                self._victim_state, budget * (self.max_kicks + 1))
             self.stats.insert_failures += budget
             return budget
-        tables = self._tables
-        n_ways = self.n_ways
-        mask = (1 << 64) - 1
+        probe = MshrEntry(line_addr)
+        state = self._victim_state
         failures = 0
-        state = committed = self._victim_state
-        placed = False
-        while failures < budget and not placed:
-            carried_addr = line_addr
-            view = {}
-            for _ in range(steps):
-                slots = self._slots(carried_addr)
-                for way in range(n_ways):
-                    if ((way, slots[way]) not in view
-                            and tables[way][slots[way]] is None):
-                        placed = True
-                        break
-                if placed:
-                    break
-                state = (
-                    state * 6364136223846793005 + 1442695040888963407
-                ) & mask
-                way = (state >> 33) % n_ways
-                slot = slots[way]
-                occupant = view.get((way, slot))
-                if occupant is None:
-                    occupant = tables[way][slot].line_addr
-                view[(way, slot)] = carried_addr
-                carried_addr = occupant
-            if not placed:
-                failures += 1
-                committed = state
-        if failures:
-            self._victim_state = committed
-            self.stats.insert_failures += failures
+        while failures < budget:
+            kicks, after = self._kick_walk(probe, state, False)
+            if kicks >= 0:
+                break
+            failures, state = failures + 1, after
+        self._victim_state = state
+        self.stats.insert_failures += failures
         return failures
 
     def remove(self, line_addr):

@@ -54,6 +54,11 @@ class DesignDescription:
             raise ValueError("need at least one PE and one channel")
         if self.has_shared_level and self.n_banks < 1:
             raise ValueError("shared organizations need at least one bank")
+        if self.mshr_max_kicks < 0:
+            # A negative bound fails every insert, even on an empty
+            # table, so the bank would spin until the cycle limit.
+            raise ValueError(
+                f"mshr_max_kicks must be >= 0, got {self.mshr_max_kicks}")
 
     @property
     def has_shared_level(self):

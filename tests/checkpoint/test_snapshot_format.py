@@ -25,6 +25,8 @@ from repro.checkpoint import (
     save_snapshot,
 )
 from repro.checkpoint import snapshot as snapshot_module
+from repro.core import CuckooMshrFile
+from repro.core import mshr as mshr_module
 from repro.graph import web_graph
 
 # A format-1 snapshot written by the last code version that still had
@@ -172,6 +174,38 @@ class TestFormatOne:
         monkeypatch.setattr(snapshot_module.pickle, "loads", no_unpickle)
         with pytest.raises(SnapshotError, match="retired 'vector'"):
             load_snapshot(path)
+
+
+class TestFullCuckooSpin:
+    """A full cuckoo MSHR file pickled in the middle of a retry storm.
+
+    The full-table failure closed form keeps its constants outside the
+    instance, so the pickled state is exactly what older snapshots carry
+    and a restored file fails the same way without them."""
+
+    STATE = {"n_ways", "way_size", "capacity", "max_kicks", "_tables",
+             "_multipliers", "_victim_state", "occupancy", "stats",
+             "_slot_cache"}
+
+    def test_restored_copy_fails_identically(self):
+        mshrs = CuckooMshrFile(64, n_ways=4, max_kicks=16, seed=7)
+        line = 0
+        while mshrs.occupancy < mshrs.capacity:
+            mshrs.insert(line)
+            line += 1
+        for _ in range(50):
+            assert mshrs.insert(line) is None
+        assert set(vars(mshrs)) == self.STATE
+        restored = pickle.loads(pickle.dumps(mshrs))
+        mshr_module._fail_map.cache_clear()  # as in a fresh process
+        for _ in range(100):
+            assert mshrs.insert(line) is None
+            assert restored.insert(line) is None
+            assert restored._victim_state == mshrs._victim_state
+        assert restored.stats.as_dict() == mshrs.stats.as_dict()
+        assert restored.stats.insert_failures >= 150
+        assert ([[e.line_addr for e in t] for t in restored._tables]
+                == [[e.line_addr for e in t] for t in mshrs._tables])
 
 
 class TestAtomicity:

@@ -73,6 +73,11 @@ class TestDesignDescription:
         with pytest.raises(ValueError):
             design(organization=MOMS_SHARED, n_banks=0)
 
+    def test_negative_mshr_kick_bound_rejected(self):
+        with pytest.raises(ValueError, match="mshr_max_kicks"):
+            design(mshr_max_kicks=-1)
+        assert design(mshr_max_kicks=0).mshr_max_kicks == 0
+
 
 class TestAreaModel:
     def test_more_pes_use_more_area(self):
