@@ -24,7 +24,7 @@ reports steady-state token constructions per simulated cycle (near
 zero with the freelists circulating), and a dedicated micro-benchmark
 races the same point with pooling disabled (``REPRO_POOL=0``) to
 quantify the drop.  Micro-benchmarks of ``Channel.push_many`` and the
-disabled fault/telemetry/checkpoint gates (<3% budget each) round out
+disabled observer and checkpoint gates (<3% budget each) round out
 the file.
 
 Usage::
@@ -349,17 +349,17 @@ def _gate_cost_ns(loops=1_000_000):
             return token
 
     class Gated(Plain):
-        _ledger = None
+        _probe = None
         _fault = None
 
         def work(self, token, state):
-            if self._ledger is not None:
-                self._ledger.verify(("bench", 0), token)
+            if self._probe is not None:
+                self._probe.moms_verify(0, token)
             if self._fault is not None:
                 token = self._fault.corrupt_moms_token(token)
             state[token & 7] = state.get(token & 7, 0) + 1
-            if self._ledger is not None:
-                self._ledger.retire(("bench", 0), token)
+            if self._probe is not None:
+                self._probe.moms_retire(0, token, 0, 0)
             return token
 
     def wall(obj):
@@ -375,99 +375,27 @@ def _gate_cost_ns(loops=1_000_000):
     return max((gated - plain) / (loops * 3) * 1e9, 0.1)
 
 
-# Every token crosses a bounded number of gate sites on its PE -> bank
-# -> DRAM round trip: three ledger gates at the PE, two at the bank,
-# four at the DRAM channel, plus the MSHR-insert and drain-corruption
-# fault gates.  Eight per *issued* token (summed over all three
-# scopes, so a full round trip is counted three times over) is a
-# comfortable over-estimate.
-_GATE_SITES_PER_TOKEN = 8
+def bench_observer_overhead(repeats=3):
+    """Zero-cost-when-disabled gate for the observer hooks.
 
+    Every observer -- token ledger, telemetry, span tracer -- rides the
+    probe bus (``repro.sim.probe``): PEs, banks, crossbars and DRAM
+    channels carry one ``_probe`` slot, and the engine polls its
+    ``sampler`` and ``watchdog`` hooks once per step.  With nothing
+    attached each site is a class-attribute load plus an ``is None``
+    test, so the <3% bound is computed instead of raced: a
+    micro-benchmark prices one disabled gate, the observers-off run's
+    own counters bound the gate executions, and the implied overhead is
 
-def bench_checks_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the fault/invariant hooks.
+        gate_executions * gate_cost / observers-off wall clock.
 
-    Every hook added by the robustness subsystem is an ``is None`` test
-    on a class attribute (``Engine.watchdog``, PE/bank/DRAM
-    ``_ledger``/``_fault`` slots, MSHR fault gates).  The pre-hook
-    engine is not runnable from this tree, so the <3% bound is computed
-    instead of raced: a micro-benchmark prices one disabled gate, a
-    checks-on run of a small BFS point counts the tokens (and therefore
-    bounds the gate executions), and the implied overhead is
-
-        gate_executions * gate_cost / checks-off wall clock.
-
-    The measured checks-on wall is recorded alongside so the *enabled*
-    cost stays visible in BENCH_sim.json, and cycle counts are asserted
-    identical between the two runs -- checks observe, never perturb.
-    """
-    os.environ["REPRO_ENGINE"] = "demand"
-    graph = web_graph(600, 3000, seed=9)
-    config = ArchitectureConfig(
-        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-
-    def run_once(checks):
-        system = AcceleratorSystem(graph, "bfs", config, checks=checks)
-        start = time.perf_counter()
-        result = system.run()
-        return system, result, time.perf_counter() - start
-
-    off_walls = []
-    for _ in range(repeats):
-        _, off_result, wall = run_once(checks=False)
-        off_walls.append(wall)
-    on_walls = []
-    for _ in range(repeats):
-        system_on, on_result, wall = run_once(checks=True)
-        on_walls.append(wall)
-    assert on_result.cycles == off_result.cycles, (
-        "enabling checks changed the model: "
-        f"{on_result.cycles} != {off_result.cycles}"
-    )
-
-    tokens = sum(
-        scope["issued"] for scope in system_on.ledger.snapshot().values()
-    )
-    gate_ns = _gate_cost_ns()
-    wall_off = min(off_walls)
-    gate_sites = _GATE_SITES_PER_TOKEN * tokens
-    implied = gate_sites * gate_ns * 1e-9 / wall_off
-    assert implied < 0.03, (
-        f"disabled checks imply {implied * 100:.2f}% demand-engine "
-        f"overhead ({gate_sites} gates x {gate_ns:.1f}ns over "
-        f"{wall_off:.3f}s); budget is 3%"
-    )
-    return {
-        "point": "BFS / web_graph(600, 3000) / two-level 4x4",
-        "cycles": off_result.cycles,
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(min(on_walls), 3),
-        "checks_on_slowdown": round(min(on_walls) / wall_off, 3),
-        "ledger_tokens": tokens,
-        "gate_sites": gate_sites,
-        "gate_ns": round(gate_ns, 2),
-        "implied_off_overhead_pct": round(implied * 100, 4),
-        "budget_pct": 3.0,
-    }
-
-
-def bench_telemetry_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the telemetry hooks.
-
-    Same methodology as :func:`bench_checks_overhead`: telemetry's
-    disabled hooks are ``is None`` tests on class attributes
-    (``Engine.sampler``, PE/bank/DRAM ``_tele`` slots), so the bound is
-    computed from a priced gate and a counted number of gate
-    executions.  The disabled-path sites are one sampler gate per
-    simulated cycle, a handful of ``_tele`` gates per component tick
-    (tick-start plus the in-tick issue/retire/phase sites), and one
-    per DRAM beat delivered.  A telemetry-on run is raced alongside and
-    its cycle count asserted identical -- telemetry observes, never
-    perturbs.
+    An observers-on run (ledger, telemetry and spans all attached) is
+    raced alongside: its wall clock records what full observation
+    costs, and its cycle count must be identical -- observers observe,
+    never perturb.
     """
     from repro.telemetry import TelemetryConfig
+    from repro.tracing import SpansConfig
 
     os.environ["REPRO_ENGINE"] = "demand"
     graph = web_graph(600, 3000, seed=9)
@@ -476,65 +404,87 @@ def bench_telemetry_overhead(repeats=3):
         **SCALED_DEFAULTS,
     )
 
-    def run_once(telemetry):
-        system = AcceleratorSystem(graph, "bfs", config,
-                                   telemetry=telemetry)
+    def run_once(observed):
+        system = AcceleratorSystem(
+            graph, "bfs", config, checks=observed,
+            telemetry=TelemetryConfig(sample_interval=64)
+            if observed else None,
+            spans=SpansConfig(sample_rate=16) if observed else None,
+        )
         start = time.perf_counter()
         result = system.run()
         return system, result, time.perf_counter() - start
 
     off_walls = []
     for _ in range(repeats):
-        system_off, off_result, wall = run_once(telemetry=None)
+        system_off, off_result, wall = run_once(observed=False)
         off_walls.append(wall)
     on_walls = []
     for _ in range(repeats):
-        system_on, on_result, wall = run_once(
-            telemetry=TelemetryConfig(sample_interval=64)
-        )
+        system_on, on_result, wall = run_once(observed=True)
         on_walls.append(wall)
     assert on_result.cycles == off_result.cycles, (
-        "enabling telemetry changed the model: "
+        "attaching observers changed the model: "
         f"{on_result.cycles} != {off_result.cycles}"
     )
 
     engine = system_off.engine
-    beats = sum(
-        ch.stats.total_beats for ch in system_off.mem.channels
+    pes = system_off.pes
+    banks = system_off.hierarchy.banks
+    channels = system_off.mem.channels
+    pe_ticks = sum(pe.ticks for pe in pes)
+    bank_ticks = sum(b.ticks for b in banks)
+    requests = sum(pe.stats.moms_reads for pe in pes)
+    raw_stalls = sum(pe.stats.raw_stalls for pe in pes)
+    bank_requests = sum(b.stats.requests for b in banks)
+    replays = sum(
+        b.stats.primary_misses + b.stats.secondary_misses for b in banks
     )
+    drains = sum(b.stats.lines_returned for b in banks)
+    hops = sum(x.transfers for x in system_off.hierarchy.crossbars)
+    beats = sum(ch.stats.total_beats for ch in channels)
+    lines = sum(ch.stats.lines_total for ch in channels)
     gate_sites = (
-        engine.cycles_simulated        # Engine.run sampler gate
-        + 4 * engine.component_ticks   # tick-start + in-tick _tele gates
-        + beats                        # DRAM per-beat delivery gate
+        3 * engine.cycles_simulated    # sampler + watchdog, step_n decline
+        + 2 * pe_ticks + bank_ticks    # tick-start events, PE phase changes
+        + 3 * requests + raw_stalls    # PE issue, verify per peek, retire
+        + bank_requests + replays + drains  # bank outcome/replay/drain
+        + hops                              # crossbar transfers
+        + lines + 2 * beats                 # DRAM accept/schedule/deliver
     )
     gate_ns = _gate_cost_ns()
     wall_off = min(off_walls)
     implied = gate_sites * gate_ns * 1e-9 / wall_off
     assert implied < 0.03, (
-        f"disabled telemetry implies {implied * 100:.2f}% overhead "
+        f"disabled observers imply {implied * 100:.2f}% overhead "
         f"({gate_sites} gates x {gate_ns:.1f}ns over {wall_off:.3f}s); "
         f"budget is 3%"
     )
-    summary = system_on.telemetry.summary()
+    spans = system_on.tracer.summary()
     return {
         "point": "BFS / web_graph(600, 3000) / two-level 4x4",
         "cycles": off_result.cycles,
         "wall_off_s": round(wall_off, 3),
         "wall_on_s": round(min(on_walls), 3),
-        "telemetry_on_slowdown": round(min(on_walls) / wall_off, 3),
+        "observer_on_slowdown": round(min(on_walls) / wall_off, 3),
         "gate_sites": gate_sites,
         "gate_ns": round(gate_ns, 2),
         "implied_off_overhead_pct": round(implied * 100, 4),
         "budget_pct": 3.0,
-        "samples": summary["samples"],
-        "mshr_peak": summary["mshr_peak"],
+        "ledger_tokens": sum(
+            scope["issued"]
+            for scope in system_on.ledger.snapshot().values()
+        ),
+        "samples": system_on.telemetry.summary()["samples"],
+        "requests_seen": spans["requests_seen"],
+        "spans_completed": spans["spans_completed"],
     }
 
 
 def bench_checkpoint_overhead(repeats=3):
     """Zero-cost-when-disabled gate for the checkpointer hook.
 
-    Same methodology as :func:`bench_checks_overhead`: with no
+    Same methodology as :func:`bench_observer_overhead`: with no
     checkpointer attached the engine pays one ``is None`` gate per
     simulated step, so the implied disabled cost is priced from the
     micro-benchmarked gate and the step count.  A checkpointing-on run
@@ -600,89 +550,6 @@ def bench_checkpoint_overhead(repeats=3):
             checkpointer.write_seconds / max(1, checkpointer.writes)
             * 1000, 2
         ),
-    }
-
-
-def bench_tracing_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the span-tracer hooks.
-
-    Same methodology as :func:`bench_checks_overhead`: with no tracer
-    attached every hook site is an ``is None`` test on a class
-    attribute (PE/bank/crossbar/DRAM ``_trace`` slots), so the implied
-    disabled cost is priced from the micro-benchmarked gate and a
-    generous bound on gate executions counted from the off run's own
-    event counters (PE issue/retire, bank outcome/drain/replay,
-    crossbar hops, DRAM accept/deliver).  A spans-on run is raced
-    alongside and its cycle count asserted identical -- the tracer
-    observes, never perturbs.
-    """
-    from repro.tracing import SpansConfig
-
-    os.environ["REPRO_ENGINE"] = "demand"
-    graph = web_graph(600, 3000, seed=9)
-    config = ArchitectureConfig(
-        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-
-    def run_once(spans):
-        system = AcceleratorSystem(graph, "bfs", config, spans=spans)
-        start = time.perf_counter()
-        result = system.run()
-        return system, result, time.perf_counter() - start
-
-    off_walls = []
-    for _ in range(repeats):
-        system_off, off_result, wall = run_once(spans=None)
-        off_walls.append(wall)
-    on_walls = []
-    for _ in range(repeats):
-        system_on, on_result, wall = run_once(
-            spans=SpansConfig(sample_rate=16)
-        )
-        on_walls.append(wall)
-    assert on_result.cycles == off_result.cycles, (
-        "enabling span tracing changed the model: "
-        f"{on_result.cycles} != {off_result.cycles}"
-    )
-
-    banks = system_off.hierarchy.banks
-    requests = sum(pe.stats.moms_reads for pe in system_off.pes)
-    bank_requests = sum(b.stats.requests for b in banks)
-    replays = sum(
-        b.stats.primary_misses + b.stats.secondary_misses for b in banks
-    )
-    drains = sum(b.stats.lines_returned for b in banks)
-    beats = sum(ch.stats.total_beats for ch in system_off.mem.channels)
-    lines = sum(ch.stats.lines_total for ch in system_off.mem.channels)
-    gate_sites = (
-        2 * requests                       # PE issue + retire gates
-        + bank_requests + replays + drains  # bank outcome/replay/drain
-        + 2 * (bank_requests + drains)      # crossbar hop gates (bound)
-        + lines + beats                     # DRAM accept + deliver gates
-    )
-    gate_ns = _gate_cost_ns()
-    wall_off = min(off_walls)
-    implied = gate_sites * gate_ns * 1e-9 / wall_off
-    assert implied < 0.03, (
-        f"disabled span tracing implies {implied * 100:.2f}% overhead "
-        f"({gate_sites} gates x {gate_ns:.1f}ns over {wall_off:.3f}s); "
-        f"budget is 3%"
-    )
-    summary = system_on.tracer.summary()
-    return {
-        "point": "BFS / web_graph(600, 3000) / two-level 4x4",
-        "cycles": off_result.cycles,
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(min(on_walls), 3),
-        "tracing_on_slowdown": round(min(on_walls) / wall_off, 3),
-        "gate_sites": gate_sites,
-        "gate_ns": round(gate_ns, 2),
-        "implied_off_overhead_pct": round(implied * 100, 4),
-        "budget_pct": 3.0,
-        "requests_seen": summary["requests_seen"],
-        "spans_completed": summary["spans_completed"],
-        "recorder_events": summary["recorder"]["recorded"],
     }
 
 
@@ -768,29 +635,15 @@ def main(argv=None):
           f"{pooling['allocs_per_cycle_pooled']} allocations/cycle "
           f"({pooling['allocation_reduction']}x fewer)")
 
-    print("checks-overhead gate: implied checks-off cost vs 3% budget")
-    checks = bench_checks_overhead()
-    print(f"  implied {checks['implied_off_overhead_pct']}% "
-          f"({checks['gate_sites']} gates x {checks['gate_ns']}ns over "
-          f"{checks['wall_off_s']}s); checks-on slowdown "
-          f"{checks['checks_on_slowdown']}x")
-
-    print("telemetry-overhead gate: implied telemetry-off cost "
+    print("observer-overhead gate: implied observers-off cost "
           "vs 3% budget")
-    telemetry = bench_telemetry_overhead()
-    print(f"  implied {telemetry['implied_off_overhead_pct']}% "
-          f"({telemetry['gate_sites']} gates x {telemetry['gate_ns']}ns "
-          f"over {telemetry['wall_off_s']}s); telemetry-on slowdown "
-          f"{telemetry['telemetry_on_slowdown']}x")
-
-    print("tracing-overhead gate: implied tracing-off cost vs 3% budget")
-    tracing = bench_tracing_overhead()
-    print(f"  implied {tracing['implied_off_overhead_pct']}% "
-          f"({tracing['gate_sites']} gates x {tracing['gate_ns']}ns "
-          f"over {tracing['wall_off_s']}s); tracing-on slowdown "
-          f"{tracing['tracing_on_slowdown']}x, "
-          f"{tracing['spans_completed']} spans over "
-          f"{tracing['requests_seen']} requests")
+    observers = bench_observer_overhead()
+    print(f"  implied {observers['implied_off_overhead_pct']}% "
+          f"({observers['gate_sites']} gates x {observers['gate_ns']}ns "
+          f"over {observers['wall_off_s']}s); ledger+telemetry+spans "
+          f"slowdown {observers['observer_on_slowdown']}x, "
+          f"{observers['spans_completed']} spans over "
+          f"{observers['requests_seen']} requests")
 
     print("checkpoint-overhead gate: implied checkpoint-off cost "
           "vs 3% budget")
@@ -825,9 +678,7 @@ def main(argv=None):
         "cycles_identical": True,
         "pooling_micro": pooling,
         "push_many_micro": bench_push_many(),
-        "checks_overhead": checks,
-        "telemetry_overhead": telemetry,
-        "tracing_overhead": tracing,
+        "observer_overhead": observers,
         "checkpoint_overhead": checkpoint,
     }
     with open(args.output, "w") as fh:

@@ -123,15 +123,10 @@ class ProcessingElement(Component):
     """One out-of-order multithreaded PE."""
 
     demand_driven = True
-    # Opt-in invariant ledger; class attribute so the unchecked path
-    # pays one "is None" test per MOMS event (see repro.faults).
-    _ledger = None
-    # Opt-in telemetry collector (repro.telemetry), same gating: one
-    # "is None" test per tick / phase change / MOMS event when unset.
-    _tele = None
-    # Opt-in span tracer (repro.tracing), same gating: one "is None"
-    # test per MOMS issue/retire when unset.
-    _trace = None
+    # Probe-bus slot (repro.sim.probe); class attribute so the
+    # unobserved path pays one "is None" test per tick / phase change /
+    # MOMS event.
+    _probe = None
 
     def __init__(self, pe_index, spec, layout, mem, config,
                  moms_req, moms_resp, burst_ports, dma_resp,
@@ -189,8 +184,8 @@ class ProcessingElement(Component):
 
     def tick(self, engine):
         self._engine = engine
-        if self._tele is not None:
-            self._tele.pe_before_tick(self, engine.now)
+        if self._probe is not None:
+            self._probe.pe_tick(self, engine.now)
         phase = self._phase
         if phase == IDLE:
             self._tick_idle(engine)
@@ -280,11 +275,11 @@ class ProcessingElement(Component):
             engine.wake(self)
 
     def _set_phase(self, phase):
-        tele = self._tele
-        if tele is not None:
+        probe = self._probe
+        if probe is not None:
             engine = self._engine
-            tele.pe_phase(self.pe_index, phase,
-                          engine.now if engine is not None else 0)
+            probe.pe_phase(self.pe_index, phase,
+                           engine.now if engine is not None else 0)
         self._phase = phase
 
     def _can_stream_more(self):
@@ -308,7 +303,7 @@ class ProcessingElement(Component):
         dispatch, response serving, phase transitions -- does real
         per-cycle work and falls through to normal ticks.
         """
-        if self._tele is not None:
+        if self._probe is not None:
             return 0
         phase = self._phase
         if phase == STREAM:
@@ -718,11 +713,12 @@ class ProcessingElement(Component):
         moms_resp = self.moms_resp
         if not moms_resp._visible:
             return True
-        req_id, _addr, data, _port = moms_resp.front_response()
-        if self._ledger is not None:
+        req_id, addr, data, _port = moms_resp.front_response()
+        probe = self._probe
+        if probe is not None:
             # Peek-time check: a corrupted or misrouted ID is flagged
             # here, before it indexes the thread-state memory below.
-            self._ledger.verify(("pe", self.pe_index), req_id)
+            probe.moms_verify(self.pe_index, req_id)
         if self.spec.weighted:
             dst_off, weight = self._id_state[req_id]
         else:
@@ -735,13 +731,8 @@ class ProcessingElement(Component):
         word = _U32.unpack_from(data)[0]
         moms_resp.drop()
         self._outstanding_moms -= 1
-        if self._ledger is not None:
-            self._ledger.retire(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_retire(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_retire(self.pe_index, req_id, _addr,
-                                    self._engine.now)
+        if probe is not None:
+            probe.moms_retire(self.pe_index, req_id, addr, self._engine.now)
         if self.spec.weighted:
             del self._id_state[req_id]
             self._free_ids.append(req_id)
@@ -782,12 +773,8 @@ class ProcessingElement(Component):
         self._edge_queue.popleft()
         addr = self.layout.v_in_addr + src_node * 4
         moms_req.push_request(addr, 4, req_id, self.pe_index)
-        if self._ledger is not None:
-            self._ledger.issue(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_issue(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_issue(self.pe_index, req_id, addr,
+        if self._probe is not None:
+            self._probe.moms_issue(self.pe_index, req_id, addr,
                                    self._engine.now)
         self._outstanding_moms += 1
         self.stats.moms_reads += 1

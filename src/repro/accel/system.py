@@ -28,6 +28,7 @@ from repro.graph.partition import partition_edges
 from repro.graph.reorder import compose, dbg_reorder, hash_cache_lines
 from repro.mem.system import MemorySystem
 from repro.sim import Channel, make_engine
+from repro.sim.probe import make_probe
 
 
 @dataclass
@@ -59,6 +60,20 @@ class RunResult:
     def bandwidth_gb_s(self):
         total = self.dram_bytes_read + self.dram_bytes_written
         return total / self.seconds / 1e9 if self.cycles else 0.0
+
+
+def _observer(name, value, observer_cls, config_cls):
+    """Coerce an observer argument: an instance, its config, or True."""
+    if isinstance(value, observer_cls):
+        return value
+    if value is True:
+        return observer_cls()
+    if isinstance(value, config_cls):
+        return observer_cls(value)
+    raise TypeError(
+        f"{name} must be a {observer_cls.__name__}, "
+        f"{config_cls.__name__}, or True; got {value!r}"
+    )
 
 
 def _round_up_pow2(value):
@@ -116,57 +131,29 @@ class AcceleratorSystem:
         if checks:
             from repro.faults import TokenLedger, Watchdog
             self.ledger = TokenLedger()
-            for element in self.pes:
-                element._ledger = self.ledger
-            for bank in self.hierarchy.banks:
-                bank._ledger = self.ledger
-            for channel in self.mem.channels:
-                channel._ledger = self.ledger
             self.engine.watchdog = Watchdog(window=watchdog_window)
         if fault_plan is not None:
             from repro.faults import install_faults
             install_faults(self, fault_plan)
 
-        # Opt-in cycle-resolved telemetry (repro.telemetry): accepts a
-        # TelemetryConfig, an attached-elsewhere Telemetry, or True for
-        # defaults.  Also lazily imported; the default path pays only
-        # the "is None" hook gates.
+        # Opt-in observers on the probe bus, lazily imported:
+        # cycle-resolved telemetry (repro.telemetry) and request-level
+        # span tracing (repro.tracing).  Each argument is the observer's
+        # config, an observer instance, or True for defaults; the
+        # default path pays only the "_probe is None" gates.
         self.telemetry = None
         if telemetry:
             from repro.telemetry import Telemetry, TelemetryConfig
-            if isinstance(telemetry, Telemetry):
-                collector = telemetry
-            elif telemetry is True:
-                collector = Telemetry()
-            elif isinstance(telemetry, TelemetryConfig):
-                collector = Telemetry(telemetry)
-            else:
-                raise TypeError(
-                    f"telemetry must be a Telemetry, TelemetryConfig, or "
-                    f"True; got {telemetry!r}"
-                )
-            self.telemetry = collector.attach(self)
-
-        # Opt-in request-level span tracing (repro.tracing): accepts a
-        # SpansConfig, an attached-elsewhere SpanTracer, or True for
-        # defaults.  Same lazy-import + "is None" hook-gate story as
-        # telemetry; also installed as engine.tracer so stall reports
-        # can embed the flight-recorder tail.
+            self.telemetry = _observer(
+                "telemetry", telemetry, Telemetry, TelemetryConfig,
+            ).attach(self)
         self.tracer = None
         if spans:
             from repro.tracing import SpanTracer, SpansConfig
-            if isinstance(spans, SpanTracer):
-                tracer = spans
-            elif spans is True:
-                tracer = SpanTracer()
-            elif isinstance(spans, SpansConfig):
-                tracer = SpanTracer(spans)
-            else:
-                raise TypeError(
-                    f"spans must be a SpanTracer, SpansConfig, or True; "
-                    f"got {spans!r}"
-                )
-            self.tracer = tracer.attach(self)
+            self.tracer = _observer(
+                "spans", spans, SpanTracer, SpansConfig,
+            ).attach(self)
+        self._wire_probe()
 
         # Opt-in periodic checkpointing (repro.checkpoint): accepts a
         # Checkpointer, a "path[:interval]" spec string, or nothing --
@@ -187,6 +174,18 @@ class AcceleratorSystem:
             self.checkpointer = checkpointer
 
     # -- construction --------------------------------------------------------
+
+    def _wire_probe(self):
+        """Point every observed component's ``_probe`` slot at the
+        attached observers (repro.sim.probe): the ledger, telemetry
+        and span tracer all subscribe to the one event bus."""
+        probe = make_probe((self.ledger, self.telemetry, self.tracer))
+        if probe is None:
+            return
+        hierarchy = self.hierarchy
+        for component in (*self.pes, *hierarchy.banks,
+                          *hierarchy.crossbars, *self.mem.channels):
+            component._probe = probe
 
     def _build(self):
         config = self.config

@@ -8,18 +8,18 @@ form -- a small forward analysis over one function's statement list
 tracking the set of expression paths known to be non-``None`` at each
 point -- so early-return guards::
 
-    if self._trace is None:
+    if self._probe is None:
         return
-    self._trace.record(...)
+    self._probe.record(...)
 
 and guarded call sites are recognized, and so that per-parameter
-*summaries* ("this function dereferences parameter ``trace`` on some
+*summaries* ("this function dereferences parameter ``probe`` on some
 path without testing it") can be stitched interprocedurally along the
 call graph (R12).
 
 The lattice element is a set of *paths*: tuples of attribute names
-rooted at a local name, ``("self", "_tele")`` for ``self._tele``,
-``("tele",)`` for a local alias.  Transfer functions:
+rooted at a local name, ``("self", "_probe")`` for ``self._probe``,
+``("probe",)`` for a local alias.  Transfer functions:
 
 * ``P is not None`` in a test adds P to the true branch;
   ``P is None`` adds P to the false branch; ``and``/``or`` chains,
@@ -32,7 +32,7 @@ rooted at a local name, ``("self", "_tele")`` for ``self._tele``,
 * loops and ``try`` bodies are entered with the facts their own
   assignments cannot invalidate (conservative kill-set prepass).
 
-Truthiness (``if self._tele:``) deliberately does not generate a fact
+Truthiness (``if self._probe:``) deliberately does not generate a fact
 -- same policy as R4: a hook wrapper defining ``__bool__`` would
 silently disable itself.
 
@@ -53,7 +53,7 @@ _TERMINATORS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 def expr_path(expr):
     """Attribute path of *expr* rooted at a bare name, or None.
 
-    ``self._tele`` -> ``("self", "_tele")``; ``tele`` -> ``("tele",)``;
+    ``self._probe`` -> ``("self", "_probe")``; ``probe`` -> ``("probe",)``;
     anything rooted in a call/subscript (not a stable storage location)
     is untracked.
     """

@@ -169,7 +169,7 @@ class SourceFile:
         """Name -> list of value expressions assigned in *func_node*.
 
         Shallow, flow-insensitive: enough to resolve the simulator's
-        hook-alias idiom (``tele = self._tele``) and set-typed locals.
+        hook-alias idiom (``probe = self._probe``) and set-typed locals.
         Computed once per function and cached.
         """
         cached = self._func_assignments.get(id(func_node))

@@ -117,6 +117,7 @@ def _register_all():
     from repro.mem.system import MemorySystem
     from repro.sim.channel import Channel, DelayLine, SoaChannel
     from repro.sim.engine import Engine, LegacyEngine
+    from repro.sim.probe import ProbeFanout
     from repro.telemetry.collector import (
         LatencyHistogram,
         Telemetry,
@@ -133,6 +134,7 @@ def _register_all():
         (Channel, "ring buffer, head/visible/staged cursors, waiters"),
         (SoaChannel, "as Channel plus struct-of-arrays field columns"),
         (DelayLine, "in-flight (ready_time, token) queue"),
+        (ProbeFanout, "observer list (bound handlers rebuilt on load)"),
         # accelerator
         (AcceleratorSystem, "component graph + externalized run-loop state"),
         (ProcessingElement, "phase machine, BRAM arrays, edge backlog"),

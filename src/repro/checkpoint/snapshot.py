@@ -14,7 +14,11 @@ policy is DESIGN.md Section 6.7), and verify the checksum before
 unpickling, so a torn or corrupted file fails loudly instead of
 resuming garbage.  Format 1 also recorded a ``kernels`` mode; files
 written in the retired ``vector`` mode hold classes that no longer
-exist and are refused before their payload is touched.
+exist and are refused before their payload is touched.  Formats 1
+and 2 wired observers through per-component ``_ledger`` / ``_tele`` /
+``_trace`` slots and ``Engine.tracer``; format 3 pickles the single
+``_probe`` slot, so an observed format <=2 system is refused after
+decoding (an unobserved one resumes unchanged).
 
 Writes go to a temporary file in the destination directory, are
 fsynced, and are moved into place with ``os.replace`` -- readers
@@ -32,7 +36,8 @@ import tempfile
 import zlib
 
 SNAPSHOT_MAGIC = b"RPSN"
-SNAPSHOT_FORMAT = 2
+SNAPSHOT_FORMAT = 3
+_PROBE_FORMAT = 3  # first format whose observers ride the probe bus
 
 _HEADER_LEN = struct.Struct(">I")
 
@@ -169,4 +174,12 @@ def load_snapshot(path):
             f"{path}: snapshot payload failed to decode: {error!r} "
             f"(written by an incompatible code version?)"
         ) from error
+    if header.get("format", 0) < _PROBE_FORMAT and any(
+            getattr(system, name, None) is not None
+            for name in ("ledger", "telemetry", "tracer")):
+        raise SnapshotError(
+            f"{path}: format {header.get('format')} snapshot has an "
+            f"observer on the retired hook layout (_ledger/_tele/_trace "
+            f"slots, Engine.tracer); replay it with the code version "
+            f"that wrote it")
     return system, header

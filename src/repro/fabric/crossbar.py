@@ -19,9 +19,9 @@ class Crossbar(Component):
     """
 
     demand_driven = True
-    # Opt-in span tracer (repro.tracing); class attribute so the
-    # untraced path pays one "is None" test per transfer.
-    _trace = None
+    # Probe-bus slot (repro.sim.probe); class attribute so the
+    # unobserved path pays one "is None" test per transfer.
+    _probe = None
 
     def __init__(self, inputs, outputs, route, name="xbar"):
         if not inputs or not outputs:
@@ -77,8 +77,8 @@ class Crossbar(Component):
                 # cycle); nothing else will commit on their behalf.
                 rearm = True
             token = self.inputs[winner].pop()
-            if self._trace is not None:
-                self._trace.xbar_hop(self.name, token, engine.now)
+            if self._probe is not None:
+                self._probe.xbar_hop(self.name, token, engine.now)
             output.push(token)
             pointers[out_index] = winner + 1 if winner + 1 < n_in else 0
             self.transfers += 1

@@ -59,6 +59,23 @@ class DesignDescription:
             # table, so the bank would spin until the cycle limit.
             raise ValueError(
                 f"mshr_max_kicks must be >= 0, got {self.mshr_max_kicks}")
+        if self.organization == MOMS_TRADITIONAL:
+            self._check_traditional()
+
+    def _check_traditional(self):
+        """Each blocking-cache bank needs an MSHR and a subentry row."""
+        # Imported here: repro.core's package init imports this module.
+        from repro.core.bank import BankParams
+
+        if self.traditional_mshrs < 1:
+            raise ValueError(f"traditional_mshrs must be >= 1, got "
+                             f"{self.traditional_mshrs}")
+        row = BankParams.subentry_row_size
+        total = self.traditional_mshrs * self.traditional_subentries_per_mshr
+        if total < row:
+            raise ValueError(
+                f"traditional_mshrs * traditional_subentries_per_mshr = "
+                f"{total} subentries is less than one row of {row}")
 
     @property
     def has_shared_level(self):

@@ -15,12 +15,14 @@ in-flight multiset per scope, so
   catches leaked MSHRs, lost subentries, and stuck channel tokens.
 
 Scopes are small hashable labels such as ``("pe", 3)`` or
-``("bank", "shared0")``.  Hooks in the simulation core are guarded by
-``_ledger is not None`` class attributes, so the disabled path costs a
-single attribute test.
+``("bank", "shared0")``.  The ledger is a probe-bus subscriber
+(:mod:`repro.sim.probe`): the components' ``_probe`` slots feed it, so
+the unchecked path costs a single attribute test per event.
 """
 
 from collections import Counter
+
+from repro.sim.probe import Probe
 
 
 class InvariantViolation(AssertionError):
@@ -47,12 +49,35 @@ class _Scope:
         return self.issued - self.retired
 
 
-class TokenLedger:
+class TokenLedger(Probe):
     """Tracks token lifecycles per scope; see the module docstring."""
 
     def __init__(self):
         self._scopes = {}
         self.violations = 0
+
+    # -- probe-bus events ---------------------------------------------------
+
+    def moms_issue(self, pe, req_id, addr, now):
+        self.issue(("pe", pe), req_id)
+
+    def moms_verify(self, pe, req_id):
+        self.verify(("pe", pe), req_id)
+
+    def moms_retire(self, pe, req_id, addr, now):
+        self.retire(("pe", pe), req_id)
+
+    def bank_alloc(self, bank, req_id, port, line_addr, now):
+        self.issue(("bank", bank), line_addr)
+
+    def bank_drain(self, bank, line_addr, fan_in, now):
+        self.retire(("bank", bank), line_addr)
+
+    def dram_schedule(self, channel, addr):
+        self.issue(("dram", channel), addr)
+
+    def dram_deliver(self, channel, response, respond_to, now):
+        self.retire(("dram", channel), response.addr)
 
     # -- lifecycle hooks ----------------------------------------------------
 

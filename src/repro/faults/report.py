@@ -6,6 +6,8 @@ to produce one.  Consumed by the engine's deadlock path, the watchdog,
 and the fault-smoke harness (which uploads them as CI artifacts).
 """
 
+from repro.sim.probe import subscribers_of
+
 
 def _component_label(component):
     kind = type(component).__name__
@@ -17,6 +19,16 @@ def _component_label(component):
     if index is not None:
         return f"{kind}(pe{index})#{order}"
     return f"{kind}#{order}"
+
+
+def _flight_recorder(engine):
+    """The span tracer's flight recorder, found through the probe slots."""
+    for component in engine._components:
+        for subscriber in subscribers_of(getattr(component, "_probe", None)):
+            recorder = getattr(subscriber, "recorder", None)
+            if recorder is not None:
+                return recorder
+    return None
 
 
 def build_stall_report(engine, reason=""):
@@ -82,9 +94,8 @@ def build_stall_report(engine, reason=""):
             "replay": checkpointer.replay_command(),
         }
     flight_recorder = None
-    tracer = getattr(engine, "tracer", None)
-    if tracer is not None:
-        recorder = tracer.recorder
+    recorder = _flight_recorder(engine)
+    if recorder is not None:
         flight_recorder = {
             "depth": recorder.depth,
             "recorded": recorder.recorded,

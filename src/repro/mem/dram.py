@@ -201,16 +201,11 @@ class DramChannel(Component):
     """One DDR4 channel: request queue, data bus, fixed-latency responses."""
 
     demand_driven = True
-    # Opt-in hooks; class attributes so the unfaulted/unchecked path
-    # pays a single "is None" test (see repro.faults).
+    # Fault-injection slot (repro.faults) and probe-bus slot
+    # (repro.sim.probe); class attributes so the default path pays one
+    # "is None" test per accepted request / scheduled / delivered beat.
     _fault = None
-    _ledger = None
-    # Opt-in telemetry collector (repro.telemetry), same gating: one
-    # "is None" test per delivered beat when unset.
-    _tele = None
-    # Opt-in span tracer (repro.tracing), same gating: one "is None"
-    # test per accepted request / delivered beat when unset.
-    _trace = None
+    _probe = None
 
     def __init__(self, timings, store, name="dram"):
         self.timings = timings
@@ -282,9 +277,7 @@ class DramChannel(Component):
         scheduled = self._scheduled
         now = engine.now
         store = self.store
-        ledger = self._ledger
-        tele = self._tele
-        trace = self._trace
+        probe = self._probe
         response_pool = MemResponse._pool
         while delivered < limit and scheduled and scheduled[0][0] <= now:
             _, response, respond_to = scheduled[0]
@@ -292,8 +285,8 @@ class DramChannel(Component):
                 # Fire-and-forget request: the beat evaporates here, so
                 # this is its release point (data was never attached).
                 scheduled.popleft()
-                if ledger is not None:
-                    ledger.retire(("dram", self.name), response.addr)
+                if probe is not None:
+                    probe.dram_deliver(self.name, response, None, now)
                 if response_pool is not None:
                     response_pool.append(response)
                 delivered += 1
@@ -314,13 +307,8 @@ class DramChannel(Component):
                 and scheduled[0][2] is respond_to
             ):
                 _, response, _ = scheduled.popleft()
-                if ledger is not None:
-                    ledger.retire(("dram", self.name), response.addr)
-                if tele is not None and response.issued_at >= 0:
-                    tele.dram_deliver(self.name, now - response.issued_at)
-                if trace is not None:
-                    trace.dram_deliver(self.name, respond_to,
-                                       response.addr, now)
+                if probe is not None:
+                    probe.dram_deliver(self.name, response, respond_to, now)
                 if response.data is None and not response.is_write_ack:
                     response.data = store.read_bytes(response.addr, LINE_BYTES)
                 batch.append(response)
@@ -349,10 +337,10 @@ class DramChannel(Component):
         tag = request.tag
         addr = request.addr
         respond_to = request.respond_to
-        if self._trace is not None:
+        if self._probe is not None:
             # Before the accept-side recycle below clears respond_to,
             # which the tracer uses to attribute the fetch to a bank.
-            self._trace.dram_accept(self.name, request, now)
+            self._probe.dram_accept(self.name, request, now)
         extra_latency = 0 if self._fault is None \
             else self._fault.dram_extra_latency(now)
         if request.is_write:
@@ -416,8 +404,7 @@ class DramChannel(Component):
         stays intact, and replays each accept with its own cycle value
         via :meth:`_accept_one`.
         """
-        if (self._fault is not None or self._trace is not None
-                or self._ledger is not None):
+        if self._probe is not None or self._fault is not None:
             return 0
         req = self.req
         visible = req._visible
@@ -474,8 +461,8 @@ class DramChannel(Component):
                     "DRAM response schedule went out of order"
                 )
         self._scheduled.append((ready_time, response, respond_to))
-        if self._ledger is not None:
-            self._ledger.issue(("dram", self.name), response.addr)
+        if self._probe is not None:
+            self._probe.dram_schedule(self.name, response.addr)
         if self._fault is not None:
             self._fault.dram_maybe_reorder(self._scheduled)
 

@@ -211,11 +211,6 @@ class Channel:
         """Number of pushes still accepted this cycle."""
         return self.capacity - self._occ - self._staged_n
 
-    def _touch(self, engine):
-        if not self._dirty:
-            self._dirty = True
-            engine._dirty_channels.append(self)
-
     def push(self, item):
         """Stage *item*; it becomes poppable next cycle."""
         staged = self._staged_n
@@ -467,28 +462,6 @@ class Channel:
     def pending(self):
         """Total tokens in flight (visible + staged)."""
         return self._visible + self._staged_n
-
-    @property
-    def fill_fraction(self):
-        """Occupancy as a fraction of capacity (telemetry gauge).
-
-        Uses in-flight tokens against the *true* capacity, so a
-        throttled channel reports >1.0-free rather than pretending the
-        clamp shrank the hardware FIFO.
-        """
-        limit = self.capacity if self._base_capacity is None \
-            else self._base_capacity
-        return (self._visible + self._staged_n) / limit
-
-    def telemetry_row(self):
-        """Occupancy snapshot for samplers; never mutates state."""
-        return {
-            "pending": self.pending,
-            "visible": self._visible,
-            "capacity": self.capacity,
-            "total_pushed": self.total_pushed,
-            "total_popped": self.total_popped,
-        }
 
 
 class SoaChannel(Channel):

@@ -178,12 +178,6 @@ class Engine:
     # watchdog/sampler effects: a run resumed from the snapshot then
     # continues exactly where the uninterrupted run's loop would.
     checkpointer = None
-    # Optional span tracer (repro.tracing.SpanTracer).  Unlike the
-    # three hooks above it is purely event-driven -- component hooks
-    # feed it and the run loop never polls it -- but it hangs here so
-    # stall/fault reports can reach its flight recorder (see
-    # repro.faults.report.build_stall_report).
-    tracer = None
     # Macro-tick fusion counters (class attributes double as zero
     # defaults for engines unpickled from pre-fusion snapshots, which
     # also resume with fusion disabled: their snapshotted wake/timer

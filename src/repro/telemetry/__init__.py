@@ -2,8 +2,8 @@
 
 Everything here is off unless a run passes ``telemetry=`` to
 :class:`repro.accel.system.AcceleratorSystem` (or sets
-``REPRO_TELEMETRY=1`` for sweeps); the disabled hooks are single
-``is None`` tests on class attributes.
+``REPRO_TELEMETRY=1`` for sweeps); with no observer attached each
+event site is a single ``_probe is None`` test (see repro.sim.probe).
 """
 
 from repro.telemetry.collector import (
@@ -18,22 +18,17 @@ from repro.telemetry.export import (
     write_timeline_csv,
     write_timeline_jsonl,
 )
-from repro.telemetry.trace import (
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
+from repro.telemetry.perfetto import validate_perfetto, write_perfetto
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "LatencyHistogram",
     "Telemetry",
     "TelemetryConfig",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
+    "validate_perfetto",
     "validate_timeline_jsonl",
     "write_summary_json",
     "write_timeline_csv",
+    "write_perfetto",
     "write_timeline_jsonl",
 ]

@@ -19,13 +19,13 @@ cannot show that shape.  This module records it:
   downstream-full, idle); the per-component table sums exactly to the
   run's cycle count by construction.
 * **Spans** -- PE phase intervals (idle/init/pointers/stream/writeback)
-  for the Chrome ``trace_event`` export (:mod:`repro.telemetry.trace`).
+  for the Perfetto export (:mod:`repro.telemetry.perfetto`).
 
-All hooks follow the fault-subsystem convention: a ``_tele`` class
-attribute that defaults to ``None``, so the disabled path costs one
-attribute load and ``is None`` test per site and the enabled path
-never perturbs architectural state -- cycle counts and results are
-bit-identical with telemetry on or off, on both engines.
+The collector is a probe-bus subscriber (:mod:`repro.sim.probe`): the
+components' ``_probe`` slots default to ``None``, so the disabled path
+costs one attribute load and ``is None`` test per site, and the
+enabled path never perturbs architectural state -- cycle counts and
+results are bit-identical with telemetry on or off, on both engines.
 
 Demand-driven caveat: samples are taken on *simulated* cycles only.
 During fast-forwarded idle windows no component state changes, so the
@@ -45,6 +45,7 @@ from repro.accel.pe import (
     STREAM,
     WRITEBACK,
 )
+from repro.sim.probe import Probe
 
 # v2 added the "fusion" block (macro-tick run counters, explicit
 # zeros when fusion is off); consumers are tolerant of missing keys.
@@ -280,6 +281,11 @@ def _classify_bank_tick(bank, old, new):
     return _bank_wait_reason(bank)
 
 
+# (snapshot, classify, wait-reason) per accounted component kind.
+_PE_KIND = (_pe_snapshot, _classify_pe_tick, _pe_wait_reason)
+_BANK_KIND = (_bank_snapshot, _classify_bank_tick, _bank_wait_reason)
+
+
 def _gap_reason(tick_reason, wait_reason):
     """Attribute the sleep window following a tick.
 
@@ -292,13 +298,13 @@ def _gap_reason(tick_reason, wait_reason):
     return tick_reason
 
 
-class Telemetry:
+class Telemetry(Probe):
     """One run's telemetry collection, attached to an AcceleratorSystem.
 
     The engine drives the sampler (``engine.sampler``); PEs, banks and
-    DRAM channels call the per-event hooks through their ``_tele``
-    attribute.  Everything here observes -- no method mutates any
-    simulated structure.
+    DRAM channels feed the per-event handlers through their ``_probe``
+    slot.  Everything here observes -- no method mutates any simulated
+    structure.
     """
 
     def __init__(self, config=None):
@@ -310,8 +316,6 @@ class Telemetry:
         self.start_cycle = 0
         self.end_cycle = None
         self._system = None
-        self._pes = []
-        self._banks = []
         self._dram = []
         self._pe_accounts = {}
         self._bank_accounts = {}
@@ -331,25 +335,21 @@ class Telemetry:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, system):
-        """Install hooks on *system*'s engine, PEs, banks and channels."""
+        """Install the sampler on *system*'s engine and open accounts
+        for its PEs, banks and channels (the system wires the probe)."""
         self._system = system
         engine = system.engine
         engine.sampler = self
         now = engine.now
         self.next_sample = now
         for pe in system.pes:
-            pe._tele = self
-            self._pes.append(pe)
             self._pe_accounts[pe] = _Account(f"pe{pe.pe_index}")
             self.moms_latency[pe.pe_index] = LatencyHistogram()
             self._open_phase[pe.pe_index] = (pe._phase, now)
         for bank in system.hierarchy.banks:
-            bank._tele = self
-            self._banks.append(bank)
             self._bank_accounts[bank] = _Account(bank.name)
             self.miss_latency[bank.name] = LatencyHistogram()
         for channel in system.mem.channels:
-            channel._tele = self
             self._dram.append(channel)
             self.dram_latency[channel.name] = LatencyHistogram()
             stats = channel.stats
@@ -362,7 +362,7 @@ class Telemetry:
     @property
     def banks(self):
         """The attached cache banks (for structure-stat export)."""
-        return tuple(self._banks)
+        return tuple(self._bank_accounts)
 
     @property
     def dram_channels(self):
@@ -378,37 +378,20 @@ class Telemetry:
         """Close the run window: settle trailing ticks, gaps and spans."""
         end = engine.now
         self.end_cycle = end
-        for pe, account in self._pe_accounts.items():
-            self._settle_tail(
-                account, end,
-                lambda old, new, c=pe: _classify_pe_tick(c, old, new),
-                lambda c=pe: _pe_wait_reason(c),
-                lambda c=pe: _pe_snapshot(c),
-            )
-        for bank, account in self._bank_accounts.items():
-            self._settle_tail(
-                account, end,
-                lambda old, new, c=bank: _classify_bank_tick(c, old, new),
-                lambda c=bank: _bank_wait_reason(c),
-                lambda c=bank: _bank_snapshot(c),
-            )
+        for accounts, kind in ((self._pe_accounts, _PE_KIND),
+                               (self._bank_accounts, _BANK_KIND)):
+            for component, account in accounts.items():
+                if account.last_tick is None:
+                    account.add(IDLE,
+                                end - self.start_cycle - account.total())
+                    continue
+                self._close_tick(account, component, kind, end)
+                account.last_tick = None
+                account.snapshot = None
         for pe_index, (phase, start) in list(self._open_phase.items()):
             if end > start:
                 self._add_span("pe", pe_index, phase, start, end)
             self._open_phase[pe_index] = (phase, end)
-
-    def _settle_tail(self, account, end, classify, wait_reason, snapshot):
-        last = account.last_tick
-        if last is None:
-            account.add(IDLE, end - self.start_cycle - account.total())
-            return
-        reason = classify(account.snapshot, snapshot())
-        account.add(reason, 1)
-        trailing = end - last - 1
-        if trailing > 0:
-            account.add(_gap_reason(reason, wait_reason()), trailing)
-        account.last_tick = None
-        account.snapshot = None
 
     # -- sampler (driven by Engine.run) --------------------------------------
 
@@ -418,7 +401,7 @@ class Telemetry:
         row = {"cycle": now}
         total_mshr = 0
         total_subentries = 0
-        for bank in self._banks:
+        for bank in self._bank_accounts:
             occupancy = bank.mshrs.occupancy
             row[f"bank.{bank.name}.mshr"] = occupancy
             live = bank.subentries.entries_live
@@ -451,7 +434,7 @@ class Telemetry:
             self._dram_prev[name] = (
                 now, total_bytes, stats.lines_burst, stats.lines_single,
             )
-        for pe in self._pes:
+        for pe in self._pe_accounts:
             index = pe.pe_index
             row[f"pe.{index}.edge_queue"] = len(pe._edge_queue)
             row[f"pe.{index}.moms_outstanding"] = pe._outstanding_moms
@@ -470,42 +453,37 @@ class Telemetry:
         interval = self.sample_interval
         self.next_sample = now - now % interval + interval
 
-    # -- per-tick accounting hooks -------------------------------------------
+    # -- per-tick accounting (probe events) ----------------------------------
 
-    def pe_before_tick(self, pe, now):
-        """Settle the PE's previous tick and sleep gap (called at tick start)."""
-        account = self._pe_accounts[pe]
-        snapshot = _pe_snapshot(pe)
-        last = account.last_tick
-        if last is None:
+    def pe_tick(self, pe, now):
+        self._tick(self._pe_accounts[pe], pe, _PE_KIND, now)
+
+    def bank_tick(self, bank, now):
+        self._tick(self._bank_accounts[bank], bank, _BANK_KIND, now)
+
+    def _tick(self, account, component, kind, now):
+        """Settle the previous tick and sleep gap (called at tick start)."""
+        if account.last_tick is None:
             account.add(IDLE, now - self.start_cycle)
+            snapshot = kind[0](component)
         else:
-            reason = _classify_pe_tick(pe, account.snapshot, snapshot)
-            account.add(reason, 1)
-            gap = now - last - 1
-            if gap > 0:
-                account.add(_gap_reason(reason, _pe_wait_reason(pe)), gap)
+            snapshot = self._close_tick(account, component, kind, now)
         account.last_tick = now
         account.snapshot = snapshot
 
-    def bank_before_tick(self, bank, now):
-        """Settle the bank's previous tick and sleep gap."""
-        account = self._bank_accounts[bank]
-        snapshot = _bank_snapshot(bank)
-        last = account.last_tick
-        if last is None:
-            account.add(IDLE, now - self.start_cycle)
-        else:
-            reason = _classify_bank_tick(bank, account.snapshot, snapshot)
-            account.add(reason, 1)
-            gap = now - last - 1
-            if gap > 0:
-                account.add(_gap_reason(reason, _bank_wait_reason(bank)),
-                            gap)
-        account.last_tick = now
-        account.snapshot = snapshot
+    @staticmethod
+    def _close_tick(account, component, kind, now):
+        """Classify the account's last tick and the gap up to *now*."""
+        snapshot_of, classify, wait_reason = kind
+        snapshot = snapshot_of(component)
+        reason = classify(component, account.snapshot, snapshot)
+        account.add(reason, 1)
+        gap = now - account.last_tick - 1
+        if gap > 0:
+            account.add(_gap_reason(reason, wait_reason(component)), gap)
+        return snapshot
 
-    # -- span hooks ----------------------------------------------------------
+    # -- phase spans (probe event) -------------------------------------------
 
     def _add_span(self, track, track_id, label, start, end):
         if len(self.spans) >= self.config.max_spans:
@@ -520,16 +498,16 @@ class Telemetry:
             self._add_span("pe", pe_index, phase, start, now)
         self._open_phase[pe_index] = (new_phase, now)
 
-    # -- latency hooks -------------------------------------------------------
+    # -- latency histograms (probe events) -----------------------------------
 
-    def moms_issue(self, pe_index, req_id, now):
+    def moms_issue(self, pe_index, req_id, addr, now):
         key = (pe_index, req_id)
         times = self._moms_issue_times.get(key)
         if times is None:
             times = self._moms_issue_times[key] = deque()
         times.append(now)
 
-    def moms_retire(self, pe_index, req_id, now):
+    def moms_retire(self, pe_index, req_id, addr, now):
         key = (pe_index, req_id)
         times = self._moms_issue_times.get(key)
         if not times:
@@ -538,17 +516,18 @@ class Telemetry:
         if not times:
             del self._moms_issue_times[key]
 
-    def miss_issue(self, bank_name, line_addr, now):
+    def bank_alloc(self, bank_name, req_id, port, line_addr, now):
         # One MSHR per line per bank, so the key is unique while in flight.
         self._miss_issue_times[(bank_name, line_addr)] = now
 
-    def miss_return(self, bank_name, line_addr, now):
+    def bank_drain(self, bank_name, line_addr, fan_in, now):
         issued = self._miss_issue_times.pop((bank_name, line_addr), None)
         if issued is not None:
             self.miss_latency[bank_name].record(now - issued)
 
-    def dram_deliver(self, channel_name, latency):
-        self.dram_latency[channel_name].record(latency)
+    def dram_deliver(self, channel_name, response, respond_to, now):
+        if respond_to is not None and response.issued_at >= 0:
+            self.dram_latency[channel_name].record(now - response.issued_at)
 
     # -- results -------------------------------------------------------------
 
@@ -607,10 +586,8 @@ class Telemetry:
         engine = self._system.engine if self._system is not None else None
         fused_runs = getattr(engine, "fused_runs", 0)
         fused_cycles = getattr(engine, "fused_cycles", 0)
-        abort_reasons = dict(
-            getattr(engine, "fusion_abort_reasons", {}) or {}
-        )
-        bank_stats = [bank.stats for bank in self._banks]
+        abort_reasons = getattr(engine, "fusion_abort_reasons", None) or {}
+        bank_stats = [bank.stats for bank in self._bank_accounts]
         requests = sum(s.requests for s in bank_stats)
         hits = sum(s.cache_hits for s in bank_stats)
         secondary = sum(s.secondary_misses for s in bank_stats)

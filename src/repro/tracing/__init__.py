@@ -1,4 +1,4 @@
-"""Request-level causal tracing (see DESIGN.md Section 6.8).
+"""Request-level causal tracing (see DESIGN.md Section 6.3).
 
 Public surface: :class:`SpansConfig` / :class:`SpanTracer` /
 :class:`FlightRecorder` (collection), :func:`analyze_spans`
@@ -9,10 +9,8 @@ Public surface: :class:`SpansConfig` / :class:`SpanTracer` /
 from repro.tracing.analyze import analyze_spans, decompose, percentile
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_flow_trace,
     validate_span_summary,
     validate_spans_jsonl,
-    write_flow_trace,
     write_span_summary,
     write_spans_jsonl,
 )
@@ -34,10 +32,8 @@ __all__ = [
     "percentile",
     "sample_hash",
     "spans_jsonl_bytes",
-    "validate_flow_trace",
     "validate_span_summary",
     "validate_spans_jsonl",
-    "write_flow_trace",
     "write_span_summary",
     "write_spans_jsonl",
 ]

@@ -1,17 +1,18 @@
 """Span exporters and their schema validators.
 
-Two artifacts, both self-validated by the CLI before it exits:
+Two artifacts, both self-validated by the ``trace`` command before it
+exits:
 
 * **Span JSONL** -- a versioned meta header line, then one canonical
   JSON object per sampled span.  The encoding is byte-deterministic:
   spans are sorted by ``(issue, pe, seq)``, keys are sorted, and the
   separators are fixed, so the determinism tests can literally
   ``bytes``-compare exports from the demand and legacy engines.
-* **Chrome trace flow events** -- the ``trace_event`` format with
-  ``ph: "s"/"t"/"f"`` flow arrows binding each span's PE slice to its
-  bank and DRAM slices.  Open in https://ui.perfetto.dev: one track
-  per PE, one per bank, one per DRAM channel; arrows follow sampled
-  requests across them (1 simulated cycle = 1 us).
+* **Span summary JSON** -- the tracer's per-stage percentiles and
+  merge fan-in distributions.
+
+The sampled requests' Perfetto slices and flow arrows are part of the
+run's single trace file (:mod:`repro.telemetry.perfetto`).
 """
 
 import json
@@ -20,10 +21,6 @@ from repro.tracing.analyze import decompose
 from repro.tracing.spans import INTERNAL_KEYS, SPAN_SCHEMA_VERSION
 
 _JSON = {"sort_keys": True, "separators": (",", ":")}
-
-_PID_PES = 1
-_PID_BANKS = 2
-_PID_DRAM = 3
 
 
 def _public(span):
@@ -35,7 +32,7 @@ def _public(span):
     return record
 
 
-def _ordered(spans):
+def ordered_spans(spans):
     return sorted(spans, key=lambda s: (s["issue"], s["pe"], s["seq"]))
 
 
@@ -50,7 +47,8 @@ def spans_jsonl_bytes(tracer):
     }
     lines = [json.dumps(header, **_JSON)]
     lines.extend(
-        json.dumps(_public(span), **_JSON) for span in _ordered(tracer.spans)
+        json.dumps(_public(span), **_JSON)
+        for span in ordered_spans(tracer.spans)
     )
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -103,110 +101,6 @@ def validate_spans_jsonl(path):
                     f"total {stages['total']}"
                 )
     return {"meta": header, "spans": len(lines) - 1}
-
-
-# -- Chrome trace flow events -----------------------------------------------
-
-
-def _meta(pid, name):
-    return {"ph": "M", "pid": pid, "name": "process_name",
-            "args": {"name": name}}
-
-
-def _slice(pid, tid, name, start, end, args):
-    return {"ph": "X", "pid": pid, "tid": tid, "name": name,
-            "ts": start, "dur": max(1, end - start), "args": args}
-
-
-def _flow(ph, flow_id, pid, tid, ts):
-    event = {"ph": ph, "pid": pid, "tid": tid, "ts": ts,
-             "name": "request", "cat": "moms", "id": flow_id}
-    if ph == "f":
-        event["bp"] = "e"  # bind to the enclosing slice's end
-    return event
-
-
-def write_flow_trace(tracer, path):
-    """Chrome ``trace_event`` JSON with flow arrows per sampled span."""
-    spans = [s for s in _ordered(tracer.spans) if "retire" in s]
-    banks = sorted({s["bank"] for s in spans if "bank" in s})
-    bank_tid = {bank: index for index, bank in enumerate(banks)}
-    events = [
-        _meta(_PID_PES, "PEs"),
-        _meta(_PID_BANKS, "MOMS banks"),
-        _meta(_PID_DRAM, "DRAM"),
-    ]
-    for tid, bank in enumerate(banks):
-        events.append({"ph": "M", "pid": _PID_BANKS, "tid": tid,
-                       "name": "thread_name", "args": {"name": bank}})
-    for flow_id, span in enumerate(spans):
-        name = f"pe{span['pe']}#{span['seq']}"
-        stages = decompose(span)
-        events.append(_slice(_PID_PES, span["pe"], name,
-                             span["issue"], span["retire"],
-                             {"outcome": span.get("outcome", "?"),
-                              "stages": stages}))
-        events.append(_flow("s", flow_id, _PID_PES, span["pe"],
-                            span["issue"]))
-        if "outcome_cycle" in span and "bank" in span:
-            tid = bank_tid[span["bank"]]
-            end = span.get("replay", span["outcome_cycle"] + 1)
-            events.append(_slice(_PID_BANKS, tid, name,
-                                 span["outcome_cycle"], end,
-                                 {"outcome": span["outcome"],
-                                  "line_addr": span.get("line_addr"),
-                                  "fan_in": span.get("fan_in")}))
-            events.append(_flow("t", flow_id, _PID_BANKS, tid,
-                                span["outcome_cycle"]))
-        if "dram_accept" in span:
-            deliver = span.get("dram_deliver", span["dram_accept"] + 1)
-            events.append(_slice(_PID_DRAM, 0, name,
-                                 span["dram_accept"], deliver,
-                                 {"line_addr": span.get("line_addr")}))
-            events.append(_flow("t", flow_id, _PID_DRAM, 0,
-                                span["dram_accept"]))
-        events.append(_flow("f", flow_id, _PID_PES, span["pe"],
-                            span["retire"]))
-    payload = {"traceEvents": events, "displayTimeUnit": "ms",
-               "otherData": {"schema": SPAN_SCHEMA_VERSION,
-                             "sample_rate": tracer.config.sample_rate}}
-    with open(path, "w", encoding="ascii") as handle:
-        json.dump(payload, handle, **_JSON)
-    return path
-
-
-def validate_flow_trace(path):
-    """Schema-check a flow trace; raises ValueError on problems."""
-    with open(path, "r", encoding="ascii") as handle:
-        payload = json.load(handle)
-    events = payload.get("traceEvents")
-    if not isinstance(events, list) or not events:
-        raise ValueError(f"{path}: no traceEvents")
-    flows = {}
-    counts = {}
-    for index, event in enumerate(events):
-        ph = event.get("ph")
-        counts[ph] = counts.get(ph, 0) + 1
-        if ph == "M":
-            continue
-        for key in ("ts", "pid", "tid"):
-            if key not in event:
-                raise ValueError(f"{path}: event {index} missing {key!r}")
-        if ph == "X":
-            if event.get("dur", -1) < 0:
-                raise ValueError(f"{path}: event {index} bad dur")
-        elif ph in ("s", "t", "f"):
-            if "id" not in event:
-                raise ValueError(f"{path}: flow event {index} missing id")
-            flows.setdefault(event["id"], []).append(ph)
-        else:
-            raise ValueError(f"{path}: unexpected phase {ph!r}")
-    for flow_id, phases in flows.items():
-        if phases[0] != "s" or phases[-1] != "f" or len(phases) < 2:
-            raise ValueError(
-                f"{path}: flow {flow_id} malformed ({''.join(phases)})"
-            )
-    return counts
 
 
 def write_span_summary(summary, path):

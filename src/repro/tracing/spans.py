@@ -11,11 +11,11 @@ show what the machine was doing just before it wedged.
 
 Three contracts, all pinned by tests:
 
-* **Observe, never perturb.**  Every hook in the simulator is ``is
-  None``-gated exactly like the sampler/watchdog/checkpointer hooks;
-  with no tracer attached the off-path cost is one attribute test per
-  site (budgeted <3% in ``bench_sim.py``).  With a tracer attached,
-  cycle counts and results are bit-identical to an untraced run.
+* **Observe, never perturb.**  The tracer is a probe-bus subscriber
+  (:mod:`repro.sim.probe`); with no observer attached the off-path
+  cost is one ``_probe is None`` test per site (budgeted <3% in
+  ``bench_sim.py``).  With a tracer attached, cycle counts and
+  results are bit-identical to an untraced run.
 * **Deterministic sampling.**  Whether a request is traced depends
   only on ``splitmix64(mix(pe, seq))`` of its issuing PE and that
   PE's issue sequence number -- both functions of the simulated
@@ -41,6 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.faults.plan import _MASK64, _splitmix64
+from repro.sim.probe import Probe
 
 SPAN_SCHEMA_VERSION = 1
 LINE_BYTES = 64
@@ -116,20 +117,17 @@ class FlightRecorder:
         ]
 
 
-class SpanTracer:
-    """Per-request span collection behind ``is None``-gated hooks.
+class SpanTracer(Probe):
+    """Per-request span collection fed by the probe bus.
 
-    Attach with :meth:`attach`; the tracer installs itself as
-    ``engine.tracer`` (so stall reports can reach the flight
-    recorder) and as the ``_trace`` hook on every PE, MOMS bank,
-    crossbar, and DRAM channel.  It is *event-driven*: the engine run
-    loop never polls it.
+    :class:`~repro.accel.system.AcceleratorSystem` wires it into the
+    ``_probe`` slot of every PE, MOMS bank, crossbar and DRAM channel;
+    stall reports find its flight recorder through those slots.  It is
+    *event-driven*: the engine run loop never polls it.
     """
 
     def __init__(self, config=None):
-        if config is None or config is True:
-            config = SpansConfig()
-        self.config = config
+        self.config = config = config or SpansConfig()
         self.recorder = FlightRecorder(config.recorder_depth)
         self.spans = []  # completed sampled spans
         self.requests_seen = 0
@@ -143,18 +141,9 @@ class SpanTracer:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, system):
-        """Install the tracer's hooks across *system* (returns self)."""
-        system.engine.tracer = self
-        for pe in system.pes:
-            pe._trace = self
-        hierarchy = system.hierarchy
-        for bank in hierarchy.banks:
-            bank._trace = self
+        """Map *system*'s fill channels to their banks (returns self)."""
+        for bank in system.hierarchy.banks:
             self._line_owner[bank.line_in] = bank.name
-        for crossbar in hierarchy.crossbars:
-            crossbar._trace = self
-        for channel in system.mem.channels:
-            channel._trace = self
         return self
 
     # -- matching helpers --------------------------------------------------
@@ -186,7 +175,7 @@ class SpanTracer:
         return self._first(self._fetches.get((bank, line_addr)),
                            present, absent)
 
-    # -- PE hooks ----------------------------------------------------------
+    # -- PE events ---------------------------------------------------------
 
     def moms_issue(self, pe, req_id, addr, now):
         seq = self._seq.get(pe, 0)
@@ -216,7 +205,7 @@ class SpanTracer:
             record["events"].append([now, f"retire@pe{pe}"])
             self.spans.append(record)
 
-    # -- bank hooks --------------------------------------------------------
+    # -- bank events -------------------------------------------------------
 
     def _bank_outcome(self, outcome, bank, req_id, port, line_addr, now):
         if req_id is None:
@@ -308,7 +297,7 @@ class SpanTracer:
         if record["sampled"]:
             record["events"].append([now, f"replay@{bank}"])
 
-    # -- fabric hooks ------------------------------------------------------
+    # -- fabric events -----------------------------------------------------
 
     def xbar_hop(self, name, token, now):
         req_id = getattr(token, "req_id", None)
@@ -346,7 +335,7 @@ class SpanTracer:
         if record["sampled"]:
             record["events"].append([now, f"xbar[{label}]@{name}"])
 
-    # -- DRAM hooks --------------------------------------------------------
+    # -- DRAM events -------------------------------------------------------
 
     def dram_accept(self, channel, request, now):
         self.recorder.record(now, "dram_accept", channel, request.addr)
@@ -358,8 +347,11 @@ class SpanTracer:
         if fetch is not None:
             fetch["dram_accept"] = now
 
-    def dram_deliver(self, channel, respond_to, addr, now):
+    def dram_deliver(self, channel, response, respond_to, now):
         """A line beat delivered; the last beat wins the timestamp."""
+        if respond_to is None:
+            return  # fire-and-forget write: nobody receives the beat
+        addr = response.addr
         self.recorder.record(now, "dram_deliver", channel, addr)
         owner = self._line_owner.get(respond_to)
         if owner is None:

@@ -182,9 +182,9 @@ class TestHookGatingR4:
     def test_alias_guard_recognized(self):
         good = (
             "def tick(self, engine):\n"
-            "    tele = self._tele\n"
-            "    if tele is not None:\n"
-            "        tele.bank_before_tick(self, engine.now)\n"
+            "    probe = self._probe\n"
+            "    if probe is not None:\n"
+            "        probe.bank_tick(self, engine.now)\n"
         )
         assert not lint_text(good, rules="R4").findings
 
@@ -207,23 +207,23 @@ class TestHookGatingR4:
     def test_wrong_branch_flagged(self):
         bad = (
             "def tick(self, engine):\n"
-            "    if self._tele is None:\n"
-            "        self._tele.bank_before_tick(self, engine.now)\n"
+            "    if self._probe is None:\n"
+            "        self._probe.bank_tick(self, engine.now)\n"
         )
         assert lint_text(bad, rules="R4").findings
 
     def test_truthiness_guard_not_accepted(self):
         bad = (
             "def tick(self, engine):\n"
-            "    if self._tele:\n"
-            "        self._tele.bank_before_tick(self, engine.now)\n"
+            "    if self._probe:\n"
+            "        self._probe.bank_tick(self, engine.now)\n"
         )
         assert lint_text(bad, rules="R4").findings
 
     def test_instrumentation_packages_exempt(self):
         code = (
             "def check(self, engine):\n"
-            "    self._ledger.verify(engine)\n"
+            "    self._probe.moms_verify(engine)\n"
         )
         assert lint_text(code, rules="R4",
                          rel="repro/faults/ledger.py").findings == []

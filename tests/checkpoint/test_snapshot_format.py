@@ -28,6 +28,7 @@ from repro.checkpoint import snapshot as snapshot_module
 from repro.core import CuckooMshrFile
 from repro.core import mshr as mshr_module
 from repro.graph import web_graph
+from repro.sim.probe import ProbeFanout
 
 # A format-1 snapshot written by the last code version that still had
 # the kernel-mode switch, in its scalar mode: the BFS point of the
@@ -174,6 +175,45 @@ class TestFormatOne:
         monkeypatch.setattr(snapshot_module.pickle, "loads", no_unpickle)
         with pytest.raises(SnapshotError, match="retired 'vector'"):
             load_snapshot(path)
+
+
+class TestProbeLayout:
+    """Format 3 moved observers onto the single ``_probe`` slot."""
+
+    def _observed(self):
+        graph = web_graph(200, 800, seed=3)
+        config = ArchitectureConfig(
+            _design(2, 2, "shared", "bfs", n_channels=2),
+            **SCALED_DEFAULTS,
+        )
+        return AcceleratorSystem(graph, "bfs", config, checks=True,
+                                 telemetry=True, spans=True)
+
+    def test_fanout_is_registered_snapshot_state(self):
+        assert ProbeFanout in audit_system(self._observed())
+
+    def test_observed_format3_snapshot_loads(self, tmp_path):
+        path = _snap(self._observed(), tmp_path)
+        restored, header = load_snapshot(path)
+        assert header["format"] == SNAPSHOT_FORMAT == 3
+        probe = restored.pes[0]._probe
+        assert probe.subscribers == (restored.ledger, restored.telemetry,
+                                     restored.tracer)
+        assert restored.hierarchy.banks[0]._probe is probe
+
+    @pytest.mark.parametrize("old_format", [1, 2])
+    def test_observed_old_format_names_retired_layout(self, tmp_path,
+                                                      old_format):
+        path = _snap(self._observed(), tmp_path)
+        _rewrite_header(path, format=old_format)
+        with pytest.raises(SnapshotError, match="retired hook layout"):
+            load_snapshot(path)
+
+    def test_unobserved_old_format_still_loads(self, system, tmp_path):
+        path = _snap(system, tmp_path)
+        _rewrite_header(path, format=2)
+        restored, _ = load_snapshot(path)
+        assert restored.pes[0]._probe is None
 
 
 class TestFullCuckooSpin:

@@ -78,6 +78,24 @@ class TestDesignDescription:
             design(mshr_max_kicks=-1)
         assert design(mshr_max_kicks=0).mshr_max_kicks == 0
 
+    def test_traditional_without_mshrs_rejected(self):
+        with pytest.raises(ValueError, match="traditional_mshrs must be"):
+            design(organization=MOMS_TRADITIONAL, n_pes=2, n_banks=2,
+                   algorithm="bfs", traditional_mshrs=0)
+
+    def test_traditional_below_one_subentry_row_rejected(self):
+        with pytest.raises(ValueError, match="less than one row"):
+            design(organization=MOMS_TRADITIONAL, n_pes=2, n_banks=2,
+                   algorithm="bfs", traditional_subentries_per_mshr=0)
+        with pytest.raises(ValueError, match="less than one row"):
+            design(organization=MOMS_TRADITIONAL, traditional_mshrs=1,
+                   traditional_subentries_per_mshr=3)
+        # Exactly one row is a buildable (if tiny) design, and the
+        # traditional knobs do not constrain the MOMS organizations.
+        assert design(organization=MOMS_TRADITIONAL, traditional_mshrs=1,
+                      traditional_subentries_per_mshr=4)
+        assert design(traditional_mshrs=0)
+
 
 class TestAreaModel:
     def test_more_pes_use_more_area(self):

@@ -12,9 +12,9 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import (
     TelemetryConfig,
-    validate_chrome_trace,
+    validate_perfetto,
     validate_timeline_jsonl,
-    write_chrome_trace,
+    write_perfetto,
     write_summary_json,
     write_timeline_csv,
     write_timeline_jsonl,
@@ -39,8 +39,8 @@ def telemetry():
 class TestChromeTrace:
     def test_written_trace_validates(self, telemetry, tmp_path):
         path = tmp_path / "run.trace.json"
-        events = write_chrome_trace(telemetry, path)
-        counts = validate_chrome_trace(path)
+        events = write_perfetto(path, telemetry)
+        counts = validate_perfetto(path)
         assert events == sum(counts.values())
         assert counts.get("C", 0) > 0, "no counter events exported"
         assert counts.get("X", 0) > 0, "no span events exported"
@@ -48,7 +48,7 @@ class TestChromeTrace:
     def test_trace_is_plain_json_with_trace_events(self, telemetry,
                                                    tmp_path):
         path = tmp_path / "run.trace.json"
-        write_chrome_trace(telemetry, path)
+        write_perfetto(path, telemetry)
         with open(path) as fh:
             doc = json.load(fh)
         assert isinstance(doc["traceEvents"], list)
@@ -61,7 +61,7 @@ class TestChromeTrace:
             {"traceEvents": [{"name": "orphan"}]}
         ))
         with pytest.raises(ValueError, match="ph"):
-            validate_chrome_trace(path)
+            validate_perfetto(path)
 
     def test_rejects_span_with_negative_duration(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -70,7 +70,7 @@ class TestChromeTrace:
             "pid": 1, "tid": 1,
         }]}))
         with pytest.raises(ValueError, match="dur"):
-            validate_chrome_trace(path)
+            validate_perfetto(path)
 
 
 class TestTimelineJsonl:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.telemetry.perfetto import validate_perfetto
 
 
 class TestCli:
@@ -40,6 +41,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PE cycle accounting" in out
         assert "validated" in out
+        assert "per-stage latency decomposition" in out
         for suffix in (".trace.json", ".timeline.jsonl",
-                       ".timeline.csv", ".summary.json"):
+                       ".timeline.csv", ".summary.json",
+                       ".spans.jsonl", ".spansummary.json"):
             assert (tmp_path / "out" / f"run{suffix}").exists()
+        # One Perfetto file carries both observers' tracks.
+        counts = validate_perfetto(tmp_path / "out" / "run.trace.json")
+        assert counts["C"] and counts["X"] and counts["s"] == counts["f"]
+
+    def test_spans_subcommand_and_flag_are_gone(self):
+        with pytest.raises(SystemExit):
+            main(["spans"])
+        with pytest.raises(SystemExit):
+            main(["trace", "--spans-out", "x"])

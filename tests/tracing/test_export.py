@@ -8,13 +8,12 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
+from repro.telemetry.perfetto import validate_perfetto, write_perfetto
 from repro.tracing import SpansConfig
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_flow_trace,
     validate_span_summary,
     validate_spans_jsonl,
-    write_flow_trace,
     write_span_summary,
     write_spans_jsonl,
 )
@@ -84,8 +83,9 @@ class TestSpansJsonl:
 class TestFlowTrace:
     def test_roundtrip_validates(self, traced, tmp_path):
         system, _ = traced
-        path = write_flow_trace(system.tracer, tmp_path / "f.json")
-        counts = validate_flow_trace(path)
+        path = tmp_path / "f.json"
+        write_perfetto(path, tracer=system.tracer)
+        counts = validate_perfetto(path)
         # One flow start and one finish per completed span.
         assert counts["s"] == len(system.tracer.spans)
         assert counts["f"] == len(system.tracer.spans)
@@ -93,7 +93,8 @@ class TestFlowTrace:
 
     def test_validator_rejects_malformed_flow(self, traced, tmp_path):
         system, _ = traced
-        path = write_flow_trace(system.tracer, tmp_path / "f.json")
+        path = tmp_path / "f.json"
+        write_perfetto(path, tracer=system.tracer)
         payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         # Drop the first flow-start: its flow now begins with "t"/"f".
@@ -102,7 +103,7 @@ class TestFlowTrace:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="malformed"):
-            validate_flow_trace(bad)
+            validate_perfetto(bad)
 
 
 class TestSpanSummary:

@@ -101,4 +101,5 @@ class TestCliParser:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "spans" in out and "trace" in out
+        # One `trace` command serves telemetry and spans alike.
+        assert "trace" in out and "spans" not in out
