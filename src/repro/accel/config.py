@@ -21,7 +21,7 @@ from repro.fabric.design import (
     MOMS_TWO_LEVEL,
     DesignDescription,
 )
-from repro.mem.dram import DramTimings
+from repro.mem.dram import LINE_BYTES, DramTimings
 
 
 @dataclass
@@ -55,6 +55,38 @@ class ArchitectureConfig:
     @property
     def name(self):
         return self.design.label
+
+    def validate(self, weighted=False):
+        """Reject values no run can finish with, naming the field.
+
+        Called when an :class:`~repro.accel.system.AcceleratorSystem`
+        is built rather than in ``__post_init__``, because callers tune
+        fields on an existing config.  Without it these values fail
+        mid-run: a burst that is not whole DRAM lines deadlocks or
+        over-decodes its shard, zero outstanding bursts or ID slots
+        deadlock, and zero init rate or job surplus divides by zero.
+        """
+        checks = (
+            ("burst_bytes",
+             self.burst_bytes > 0 and self.burst_bytes % LINE_BYTES == 0,
+             f"a positive multiple of the {LINE_BYTES}-byte DRAM line"),
+            ("max_outstanding_edge_bursts",
+             self.max_outstanding_edge_bursts >= 1, ">= 1"),
+            ("dma_queue_beats", self.dma_queue_beats >= 1, ">= 1"),
+            ("init_nodes_per_cycle", self.init_nodes_per_cycle >= 1,
+             ">= 1"),
+            ("nodes_per_dst_interval", self.nodes_per_dst_interval >= 1,
+             ">= 1"),
+            ("min_jobs_per_pe", self.min_jobs_per_pe > 0, "> 0"),
+            ("id_pool_size", self.id_pool_size >= 1 or not weighted,
+             ">= 1 for a weighted algorithm"),
+        )
+        for field_name, ok, requirement in checks:
+            if not ok:
+                raise ValueError(
+                    f"ArchitectureConfig.{field_name} must be "
+                    f"{requirement}; got {getattr(self, field_name)!r}"
+                )
 
     def scaled_for(self, graph):
         """Clamp interval sizes so jobs stay plentiful on small graphs.

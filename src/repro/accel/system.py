@@ -97,13 +97,18 @@ class AcceleratorSystem:
             self.spec = get_spec(algorithm, source=source)
         else:
             self.spec = get_spec(algorithm)
+        config.validate(weighted=self.spec.weighted)
         self.config = config.scaled_for(graph)
         self.use_hashing = use_hashing
         self.use_dbg = use_dbg
 
+        # The layout takes its edge width from the graph, so the graph
+        # must carry weights exactly when the kernel decodes them.
         working = graph
         if self.spec.weighted and not working.weighted:
             working = working.with_weights(np.random.default_rng(42))
+        elif working.weighted and not self.spec.weighted:
+            working = working.without_weights()
         permutation = None
         if use_dbg:
             permutation = dbg_reorder(working)

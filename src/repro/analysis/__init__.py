@@ -4,8 +4,9 @@ The reproduction's central claim -- bit-identical cycle counts across
 engines, pooling, telemetry, and fault replays -- rests on coding
 contracts (no wall-clock in tick paths, bulk channel APIs, freelist
 pooling, is-None-gated hooks, versioned row schemas) that this package
-enforces statically.  See DESIGN.md 6.5 for the catalog and policy,
-and ``python -m repro lint --list-rules`` for the live inventory.
+enforces statically, one rule per contract.  See DESIGN.md 6.5 for the
+catalog and policy, and ``python -m repro lint --list-rules`` for the
+live inventory.
 
 Public surface:
 
@@ -14,7 +15,6 @@ Public surface:
 * :mod:`repro.analysis.rules` -- the catalog (``ALL_RULES``,
   ``select_rules``);
 * :mod:`repro.analysis.emitters` -- text/JSON/SARIF serializers;
-* :mod:`repro.analysis.baseline` -- accepted-findings flow;
 * :mod:`repro.analysis.cli` -- the ``python -m repro lint`` command.
 """
 
@@ -25,13 +25,11 @@ from repro.analysis.engine import (
     selfcheck,
 )
 from repro.analysis.findings import Finding, LintResult
-from repro.analysis.hotpath import HotPathIndex
 from repro.analysis.rules import ALL_RULES, select_rules
 
 __all__ = [
     "ALL_RULES",
     "Finding",
-    "HotPathIndex",
     "LINT_SCHEMA",
     "LintResult",
     "lint_paths",

@@ -1,13 +1,13 @@
 """Tree-wide name-resolved call graph (the whole-program index).
 
-Generalizes the hot-path classifier's reachability sweep into a
-reusable index the whole-program passes (R11-R14, DESIGN.md 6.10)
-share: every function definition in the analyzable packages, resolved
-call edges between them, per-class method tables, bound-method alias
-tables, and class-construction summaries.
+One index every call-graph consumer shares (DESIGN.md 6.10): the
+hot-path set behind R1-R3 (everything reachable from the engine's
+per-cycle loop), and the whole-program passes R11-R14.  It holds every
+function definition in the analyzable packages, resolved call edges
+between them, per-class method tables, bound-method alias tables, and
+class-construction summaries.
 
-Resolution is *name-based* over :data:`CALLGRAPH_PACKAGES`, for the
-same reason the hot-path classifier's is (DESIGN.md 6.5): the engine
+Resolution is *name-based* over :data:`CALLGRAPH_PACKAGES`: the engine
 and the component protocol dispatch dynamically (``component.tick``,
 ``decode()`` through a stored bound method), so an exact static call
 graph does not exist.
@@ -26,29 +26,47 @@ them useful:
 * a bare-name call resolves to same-file definitions first, falling
   back to every definition of that name tree-wide.
 
-A call that resolves to nothing (stdlib, numpy, a channel primitive)
-simply has no out-edge; soundness notes live with each pass that
-consumes the graph.
+Over-approximation errs toward *more* rule coverage; a cold function
+misclassified hot costs at worst one justified suppression.  A call
+that resolves to nothing (stdlib, numpy, a channel primitive) simply
+has no out-edge; soundness notes live with each pass that consumes
+the graph.
 """
 
 import ast
 from collections import deque
 
-# Packages whose definitions participate in whole-program resolution.
-# Strictly wider than the hot-path set: the instrumentation and
-# persistence layers (faults, telemetry, tracing, checkpoint) carry
-# contracts of their own (R11/R12) even though they are never hot.
-CALLGRAPH_PACKAGES = (
+# The simulator-core packages: the only places a hot function can live.
+# Experiments, graph preprocessing, baselines and reporting run O(1)
+# times per sweep point no matter who names a colliding method.
+HOT_PACKAGES = (
     "repro/sim/",
     "repro/core/",
     "repro/mem/",
     "repro/accel/",
     "repro/fabric/",
+)
+
+# Entry points of the per-cycle loop, looked up in the engine module:
+# ``Engine._step`` ticks every runnable component and commits dirty
+# channels, so anything it (or a wake) reaches runs O(cycles) times.
+HOT_SEEDS = ("_step", "wake", "wake_at")
+HOT_SEED_MODULE_SUFFIX = "sim/engine.py"
+
+# Packages whose definitions participate in whole-program resolution.
+# Strictly wider than the hot-path set: the instrumentation and
+# persistence layers (faults, telemetry, tracing, checkpoint) carry
+# contracts of their own (R11/R12) even though they are never hot.
+CALLGRAPH_PACKAGES = HOT_PACKAGES + (
     "repro/faults/",
     "repro/telemetry/",
     "repro/tracing/",
     "repro/checkpoint/",
 )
+
+
+def in_hot_package(rel):
+    return any(marker in rel for marker in HOT_PACKAGES)
 
 
 def in_callgraph_package(rel):
@@ -86,7 +104,6 @@ class CallGraph:
         self.methods = {}     # (rel, class qualname) -> {name: key}
         self.bound_aliases = {}  # class name -> {attr: set of method names}
         self._callee_cache = {}
-        self._file_rdeps = None
         self._build(sources)
 
     # -- construction -------------------------------------------------------
@@ -257,33 +274,14 @@ class CallGraph:
                     queue.append(callee)
         return seen
 
-    # -- file-level reverse dependencies ------------------------------------
-
-    def file_dependents(self, rels):
-        """Files whose functions (transitively) call into *rels*.
-
-        The ``--changed`` scope: a contract broken by an edit can
-        surface in any caller of the edited file, so dependents are
-        closed transitively over the file-level reverse edge relation.
-        Returns a sorted tuple including *rels* themselves.
-        """
-        if self._file_rdeps is None:
-            rdeps = {}
-            for key in sorted(self.functions):
-                for callee in self.callees(key):
-                    if callee[0] != key[0]:
-                        rdeps.setdefault(callee[0], set()).add(key[0])
-            self._file_rdeps = rdeps
-        seen = set()
-        queue = deque(rel for rel in rels if rel in self.sources)
-        seen.update(queue)
-        while queue:
-            rel = queue.popleft()
-            for caller in self._file_rdeps.get(rel, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    queue.append(caller)
-        return tuple(sorted(seen))
+    def hot_keys(self):
+        """Functions reachable from the engine's per-cycle entry points,
+        restricted to :data:`HOT_PACKAGES` (the R1-R3 scope)."""
+        seeds = [key for key in sorted(self.functions)
+                 if key[0].endswith(HOT_SEED_MODULE_SUFFIX)
+                 and self.functions[key].name in HOT_SEEDS]
+        return frozenset(key for key in self.reachable_from(seeds)
+                         if in_hot_package(key[0]))
 
     # -- construction summaries (for R11) -----------------------------------
 
@@ -356,16 +354,3 @@ class CallGraph:
                 classes.add(info.class_name)
             else:
                 calls.update(self.resolve_call(key, node))
-
-    def constructed_classes(self, key, expr):
-        """Tree class names *expr* may construct or receive from calls.
-
-        Combines direct constructions in the expression with the
-        returned-class summaries of every call it contains; the caller
-        supplies the precomputed summaries (``returned_classes()``).
-        """
-        info = self.functions.get(key)
-        classes, calls = set(), set()
-        if info is not None:
-            self._collect_constructions(key, info, expr, classes, calls)
-        return classes, calls

@@ -3,14 +3,13 @@
 Runs the simlint rule catalog (DESIGN.md 6.5) over the source tree::
 
     python -m repro lint                          # text report, src tree
-    python -m repro lint --rules R2,R4            # subset of the catalog
+    python -m repro lint --rules R2,R12           # subset of the catalog
     python -m repro lint --format sarif > out.sarif
     python -m repro lint --fail-on warning        # stricter gate
     python -m repro lint --quick                  # self-check + hot tree
-    python -m repro lint --changed                # git-diff scope
-    python -m repro lint --cache-dir .simlint     # parsed-source cache
-    python -m repro lint --write-baseline simlint_baseline.json
-    python -m repro lint --baseline simlint_baseline.json
+
+A finding is accepted only by an inline ``# simlint: disable=<id> --
+<justification>`` comment at its line (DESIGN.md 6.5).
 
 The report goes to stdout (redirect for artifacts); the one-line
 summary and any internal errors go to stderr, so ``--format sarif``
@@ -30,7 +29,7 @@ def add_lint_arguments(parser):
     parser.add_argument(
         "--rules", default=None, metavar="SPEC",
         help="comma-separated rule ids/names to run (default: all; "
-             "e.g. R2,R4 or single-token-channel)",
+             "e.g. R2,R12 or single-token-channel)",
     )
     parser.add_argument(
         "--format", default="text", choices=("text", "json", "sarif"),
@@ -48,35 +47,13 @@ def add_lint_arguments(parser):
         help="files/directories to lint (default: the repro package)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="accepted-findings JSON; matching findings are reported "
-             "but never fatal (tolerant parsing)",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="PATH",
-        help="record the current findings as the accepted baseline "
-             "and exit 0",
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="self-check every rule against its built-in fixtures, "
              "then lint only the hot simulator packages",
     )
     parser.add_argument(
-        "--changed", action="store_true",
-        help="report only findings in git-changed files plus their "
-             "call-graph dependents (whole tree is still parsed, so "
-             "whole-program rules stay sound)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="directory for the parsed-source cache, keyed on a tree "
-             "fingerprint (default: no cache)",
-    )
-    parser.add_argument(
         "--show-suppressed", action="store_true",
-        help="include inline-suppressed and baselined findings in the "
-             "report",
+        help="include inline-suppressed findings in the report",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -88,7 +65,7 @@ def _hot_package_paths():
     """The sim-core package directories (the --quick lint surface)."""
     import pathlib
 
-    from repro.analysis.hotpath import HOT_PACKAGES
+    from repro.analysis.callgraph import HOT_PACKAGES
 
     package_root = pathlib.Path(__file__).resolve().parents[1]
     paths = []
@@ -101,7 +78,6 @@ def _hot_package_paths():
 
 def run_lint(args, log=print):
     """Execute the lint subcommand; returns an exit code."""
-    from repro.analysis import baseline as baseline_module
     from repro.analysis import engine as engine_module
     from repro.analysis.emitters import EMITTERS
     from repro.analysis.rules import ALL_RULES, select_rules
@@ -133,20 +109,7 @@ def run_lint(args, log=print):
     if not paths:
         paths = _hot_package_paths() if args.quick \
             else engine_module.default_paths()
-    result = engine_module.lint_paths(
-        paths, rules=rules,
-        changed_only=args.changed,
-        cache_dir=args.cache_dir,
-    )
-
-    if args.baseline:
-        baseline_module.apply_baseline(result, args.baseline)
-
-    if args.write_baseline:
-        count = baseline_module.write_baseline(args.write_baseline, result)
-        log(f"simlint: wrote baseline with {count} accepted finding(s) "
-            f"to {args.write_baseline}", file=sys.stderr)
-        return 0
+    result = engine_module.lint_paths(paths, rules=rules)
 
     emitter = EMITTERS[args.lint_format]
     # SARIF consumers understand the suppressions property, so that
@@ -161,13 +124,10 @@ def run_lint(args, log=print):
         f"{len(result.findings)} finding(s) "
         f"({counts.get('error', 0)} error / "
         f"{counts.get('warning', 0)} warning), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined "
+        f"{len(result.suppressed)} suppressed "
         f"in {elapsed:.2f}s",
         file=sys.stderr,
     )
-    for note in result.notes:
-        log(f"simlint: note: {note}", file=sys.stderr)
     for error in result.errors:
         log(f"simlint: error: {error}", file=sys.stderr)
     if result.errors:

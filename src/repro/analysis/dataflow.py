@@ -2,20 +2,20 @@
 
 The hook-gating contract (DESIGN.md 6.2/6.3) is a *path* property:
 every dereference of an optional hook must be dominated by an
-``is not None`` test.  R4 checks the syntactic form (the dereference
-sits inside a guarded branch); this module computes the flow-sensitive
-form -- a small forward analysis over one function's statement list
-tracking the set of expression paths known to be non-``None`` at each
-point -- so early-return guards::
+``is not None`` test.  This module computes it with a small forward
+analysis over one function's statement list, tracking the set of
+expression paths known to be non-``None`` at each point -- so guarded
+branches, ternaries, ``and`` chains and early-return guards::
 
     if self._probe is None:
         return
     self._probe.record(...)
 
-and guarded call sites are recognized, and so that per-parameter
-*summaries* ("this function dereferences parameter ``probe`` on some
-path without testing it") can be stitched interprocedurally along the
-call graph (R12).
+are all recognized, and so that per-parameter *summaries* ("this
+function dereferences parameter ``probe`` on some path without
+testing it") can be stitched interprocedurally along the call graph.
+R12 consumes both: unguarded hook dereference sites in place, and
+hooks flowing unguarded into deref-unsafe parameters.
 
 The lattice element is a set of *paths*: tuples of attribute names
 rooted at a local name, ``("self", "_probe")`` for ``self._probe``,
@@ -32,9 +32,8 @@ rooted at a local name, ``("self", "_probe")`` for ``self._probe``,
 * loops and ``try`` bodies are entered with the facts their own
   assignments cannot invalidate (conservative kill-set prepass).
 
-Truthiness (``if self._probe:``) deliberately does not generate a fact
--- same policy as R4: a hook wrapper defining ``__bool__`` would
-silently disable itself.
+Truthiness (``if self._probe:``) deliberately does not generate a fact:
+a hook wrapper defining ``__bool__`` would silently disable itself.
 
 The analysis records every *dereference site* (attribute access,
 subscript, or call on a tracked path) and every *call site* together
@@ -386,14 +385,15 @@ def function_params(func_node):
 
 
 def _scan(callgraph, key, cache):
-    scan = cache.get(key)
+    node = callgraph.functions[key].node
+    scan = cache.get(id(node))
     if scan is None:
-        scan = FlowScan(callgraph.functions[key].node)
-        cache[key] = scan
+        scan = FlowScan(node)
+        cache[id(node)] = scan
     return scan
 
 
-def param_summaries(callgraph):
+def param_summaries(callgraph, scans=None):
     """Fixpoint map: key -> frozenset of deref-unsafe parameter names.
 
     A parameter is *deref-unsafe* when some path through its function
@@ -401,8 +401,11 @@ def param_summaries(callgraph):
     dominating non-None fact -- directly, or by handing it to another
     function's deref-unsafe parameter unguarded.  Callers use this to
     flag hook expressions flowing into an unsafe parameter (R12).
+    *scans* (``id(function node) -> FlowScan``) collects the scans
+    made along the way so the caller can reuse them.
     """
-    scans = {}
+    if scans is None:
+        scans = {}
     summaries = {}
     # Seed: direct unguarded dereferences of a parameter.
     for key in sorted(callgraph.functions):

@@ -6,8 +6,8 @@ The pipeline is deliberately boring and deterministic:
    paths against the repo root);
 2. parse each exactly once into a :class:`~repro.analysis.source.
    SourceFile` (unparseable files become result errors, not crashes);
-3. build the shared indexes -- the call-graph hot-path classifier and
-   the pooled-token class set -- once for the whole tree;
+3. build the shared indexes -- the call graph (which also yields the
+   hot-path set) and the pooled-token class set -- once for the tree;
 4. run the selected rules, dedup, apply inline suppressions, sort.
 
 Byte-identical output across runs is a tested property: no wall-clock,
@@ -15,44 +15,52 @@ no hash-order dependence, no absolute paths in findings.
 """
 
 import pathlib
-import subprocess
 
-from repro.analysis.callgraph import CallGraph
+from repro.analysis.callgraph import CallGraph, in_hot_package
 from repro.analysis.findings import LintResult
-from repro.analysis.hotpath import HOT_PACKAGES, HotPathIndex
 from repro.analysis.rules import discover_pooled_classes, select_rules
 from repro.analysis.source import parse_source
 
-# Version stamped into the JSON emitter's envelope and the baseline
-# file; bump on layout changes (readers tolerate older, skip newer).
-LINT_SCHEMA = 1
+# Version stamped into the JSON emitter's envelope; bump on layout
+# changes (readers tolerate older, skip newer).
+LINT_SCHEMA = 2
 
 
 class LintContext:
     """Shared read-only state every rule check receives.
 
-    ``memo`` is a scratch dict for whole-program passes: a rule that
-    computes a tree-wide analysis (snapshot containment, parameter
-    summaries) stashes it here keyed by rule id, because rule
-    instances are shared module singletons while the context is
-    rebuilt per run.
+    ``force_hot=True`` (fixture snippets, self-checks, which have no
+    engine to be reachable from) classifies every function hot and
+    admits every file to the call graph.  ``memo`` is a scratch dict
+    for whole-program passes: a rule that computes a tree-wide
+    analysis (snapshot containment, parameter summaries) stashes it
+    here keyed by rule id, because rule instances are shared module
+    singletons while the context is rebuilt per run.
     """
 
-    __slots__ = ("sources", "hot", "pooled_classes", "callgraph", "memo")
+    __slots__ = ("sources", "force_hot", "pooled_classes", "callgraph",
+                 "memo", "_hot_keys")
 
-    def __init__(self, sources, hot, pooled_classes, callgraph=None):
+    def __init__(self, sources, force_hot=False):
         self.sources = sources
-        self.hot = hot
-        self.pooled_classes = pooled_classes
-        self.callgraph = callgraph if callgraph is not None \
-            else CallGraph(sources, include_all=hot.force_hot)
+        self.force_hot = force_hot
+        self.pooled_classes = discover_pooled_classes(sources)
+        self.callgraph = CallGraph(sources, include_all=force_hot)
         self.memo = {}
+        self._hot_keys = None
+
+    def hot_functions(self, source):
+        """FunctionInfo entries of *source* on the hot path, in file order."""
+        if self.force_hot:
+            return list(source.functions)
+        if self._hot_keys is None:
+            self._hot_keys = self.callgraph.hot_keys()
+        return [info for info in source.functions
+                if (source.rel, info.qualname) in self._hot_keys]
 
     def in_hot_package(self, source):
         """Package-level scope test (fixture trees count as hot)."""
-        if self.hot.force_hot:
-            return True
-        return any(marker in source.rel for marker in HOT_PACKAGES)
+        return self.force_hot or in_hot_package(source.rel)
 
 
 def find_repo_root(start):
@@ -107,68 +115,19 @@ def collect_sources(paths, root=None):
     return sources, errors
 
 
-def build_context(sources, force_hot=False):
-    return LintContext(
-        sources=sources,
-        hot=HotPathIndex(sources, force_hot=force_hot),
-        pooled_classes=discover_pooled_classes(sources),
-    )
-
-
-def changed_files(root):
-    """Working-tree .py changes vs HEAD (staged, unstaged, untracked).
-
-    Returns ``(rel paths, error)``; the error string is set (and the
-    list empty) when git is unavailable or *root* is not a repository,
-    so ``--changed`` can degrade to a full lint with a note instead of
-    failing the tool.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain"],
-            capture_output=True, text=True, timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired) as error:
-        return [], f"git status failed: {error}"
-    if proc.returncode != 0:
-        detail = proc.stderr.strip().splitlines()
-        return [], (f"git status failed: "
-                    f"{detail[0] if detail else proc.returncode}")
-    rels = []
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:]
-        # Renames report "old -> new"; the new path is the live one.
-        if " -> " in path:
-            path = path.split(" -> ", 1)[1]
-        path = path.strip().strip('"')
-        if path.endswith(".py"):
-            rels.append(path)
-    return sorted(set(rels)), None
-
-
 def _rule_matches(rule, names):
     return rule.id in names or rule.name in names or "all" in names
 
 
-def run_rules(sources, rules, ctx, targets=None):
-    """Run *rules* over *sources*; dedup, suppress, sort.
-
-    *targets* restricts which files' findings are reported (the
-    ``--changed`` scope) without shrinking the analysis context: the
-    whole-program indexes in *ctx* always cover every source.
-    """
+def run_rules(sources, rules, ctx):
+    """Run *rules* over *sources*; dedup, suppress, sort."""
     result = LintResult(
         files_scanned=len(sources),
         rules_run=tuple(rule.id for rule in rules),
     )
-    checked = sources if targets is None else [
-        source for source in sources if source.rel in targets
-    ]
     seen = set()
     for rule in rules:
-        for source in checked:
+        for source in sources:
             for finding in rule.check(source, ctx):
                 key = finding.identity()
                 if key in seen:
@@ -185,66 +144,19 @@ def run_rules(sources, rules, ctx, targets=None):
     return result
 
 
-def lint_paths(paths=None, rules=None, root=None, force_hot=False,
-               changed_only=False, cache_dir=None):
+def lint_paths(paths=None, rules=None, root=None, force_hot=False):
     """Lint files/directories; the main library entry point.
 
-    *rules* is a comma-separated spec ("R2,R4" / "ungated-hook") or a
-    sequence of rule instances; ``None`` runs the whole catalog.
-    ``changed_only`` narrows *reporting* to git-changed files plus
-    their call-graph dependents (the analysis still sees the full
-    tree); ``cache_dir`` reuses a pickled parse/call-graph index when
-    the tree fingerprint matches (see :mod:`repro.analysis.cache`).
+    *rules* is a comma-separated spec ("R2,R12" / "interprocedural-hook")
+    or a sequence of rule instances; ``None`` runs the whole catalog.
     """
     paths = list(paths) if paths else default_paths()
     if rules is None or isinstance(rules, str):
         rules = select_rules(rules)
-    root_dir = pathlib.Path(
-        root if root is not None
-        else find_repo_root(paths[0] if paths else ".")
-    ).resolve()
-    notes = []
-    sources = errors = callgraph = None
-    if cache_dir is not None:
-        from repro.analysis import cache as cache_module
-        fingerprint = cache_module.tree_fingerprint(paths, root_dir)
-        cached = cache_module.load_index(cache_dir, fingerprint)
-        if cached is not None:
-            sources, errors, callgraph = cached
-            notes.append(f"cache hit ({fingerprint[:12]})")
-        else:
-            notes.append(f"cache miss ({fingerprint[:12]})")
-    if sources is None:
-        sources, errors = collect_sources(paths, root=root_dir)
-    hot = HotPathIndex(sources, force_hot=force_hot)
-    ctx = LintContext(
-        sources=sources,
-        hot=hot,
-        pooled_classes=discover_pooled_classes(sources),
-        callgraph=callgraph,
-    )
-    if cache_dir is not None and callgraph is None:
-        from repro.analysis import cache as cache_module
-        cache_module.save_index(
-            cache_dir, fingerprint, sources, errors, ctx.callgraph
-        )
-    targets = None
-    if changed_only:
-        rels, git_error = changed_files(root_dir)
-        if git_error is not None:
-            notes.append(f"--changed: {git_error}; linting everything")
-        else:
-            known = {source.rel for source in sources}
-            changed = [rel for rel in rels if rel in known]
-            targets = set(ctx.callgraph.file_dependents(changed))
-            targets.update(changed)
-            notes.append(
-                f"--changed: {len(changed)} changed file(s), "
-                f"{len(targets)} in scope with call-graph dependents"
-            )
-    result = run_rules(sources, rules, ctx, targets=targets)
+    sources, errors = collect_sources(paths, root=root)
+    ctx = LintContext(sources, force_hot=force_hot)
+    result = run_rules(sources, rules, ctx)
     result.errors = errors
-    result.notes.extend(notes)
     return result
 
 
@@ -257,7 +169,7 @@ def lint_text(text, rules=None, rel="fixture.py", force_hot=True):
         result = LintResult(rules_run=tuple(rule.id for rule in rules))
         result.errors = [parse_error]
         return result
-    ctx = build_context([source], force_hot=force_hot)
+    ctx = LintContext([source], force_hot=force_hot)
     return run_rules([source], rules, ctx)
 
 

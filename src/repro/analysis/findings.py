@@ -27,10 +27,10 @@ class Finding:
 
     ``path`` is repo-relative with forward slashes (stable across
     machines for golden files and SARIF).  ``suppressed`` marks an
-    inline ``# simlint: disable=...`` hit; ``baselined`` marks a
-    finding accepted by a ``--baseline`` file.  Both are carried (not
-    dropped) so emitters can report counts and ``--show-suppressed``
-    can surface them.
+    inline ``# simlint: disable=...`` hit -- the one way to accept a
+    finding.  Suppressed findings are carried (not dropped) so
+    emitters can report counts and ``--show-suppressed`` can surface
+    them.
     """
 
     rule: str
@@ -42,7 +42,6 @@ class Finding:
     message: str
     hint: str = ""
     suppressed: bool = False
-    baselined: bool = False
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule, self.message)
@@ -50,14 +49,6 @@ class Finding:
     def identity(self):
         """Dedup key: the same defect reported twice collapses."""
         return (self.rule, self.path, self.line, self.col, self.message)
-
-    def baseline_key(self):
-        """Line-free identity used by the baseline flow.
-
-        Deliberately excludes line/col so that unrelated edits moving a
-        tolerated finding around the file do not resurrect it.
-        """
-        return (self.rule, self.path, self.message)
 
     def to_dict(self):
         return {
@@ -70,7 +61,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
 
 
@@ -80,11 +70,9 @@ class LintResult:
 
     findings: list = field(default_factory=list)  # active findings
     suppressed: list = field(default_factory=list)  # inline-disabled
-    baselined: list = field(default_factory=list)  # accepted by baseline
     files_scanned: int = 0
     rules_run: tuple = ()
     errors: list = field(default_factory=list)  # unparseable files etc.
-    notes: list = field(default_factory=list)  # degraded-mode warnings
 
     def counts(self):
         by_severity = {severity: 0 for severity in SEVERITIES}

@@ -2,7 +2,8 @@
 
 Rules are ordered by id; DESIGN.md 6.5 documents the catalog with the
 rationale each rule carries in code.  Selection accepts either the id
-("R4") or the slug name ("ungated-hook"), case-insensitively.
+("R12") or the slug name ("interprocedural-hook"), case-insensitively.
+Retired ids (R4, R8, R9, R10) are not reused.
 """
 
 from repro.analysis.rules.channels import SingleTokenChannelRule
@@ -13,18 +14,14 @@ from repro.analysis.rules.determinism import (
 from repro.analysis.rules.hooks import (
     InterproceduralHookRule,
     MutableDefaultRule,
-    UngatedHookRule,
 )
 from repro.analysis.rules.pooling import (
     DirectTokenConstructionRule,
     MissingSlotsRule,
     discover_pooled_classes,
 )
-from repro.analysis.rules.fusion import FusionPurityRule, FusionSafetyRule
-from repro.analysis.rules.schema import (
-    SchemaCoherenceRule,
-    SchemaLiteralRule,
-)
+from repro.analysis.rules.fusion import FusionPurityRule
+from repro.analysis.rules.schema import SchemaCoherenceRule
 from repro.analysis.rules.snapshot import SnapshotCompletenessRule
 
 ALL_RULES = tuple(sorted(
@@ -32,12 +29,9 @@ ALL_RULES = tuple(sorted(
         NondeterminismRule(),
         SingleTokenChannelRule(),
         DirectTokenConstructionRule(),
-        UngatedHookRule(),
         FloatCycleCompareRule(),
         MutableDefaultRule(),
         MissingSlotsRule(),
-        SchemaLiteralRule(),
-        FusionSafetyRule(),
         SnapshotCompletenessRule(),
         InterproceduralHookRule(),
         FusionPurityRule(),

@@ -74,7 +74,7 @@ class SingleTokenChannelRule(Rule):
         if "repro/fabric/" in source.rel:
             return
         seen = set()
-        for info in ctx.hot.hot_functions(source):
+        for info in ctx.hot_functions(source):
             for loop in ast.walk(info.node):
                 if not isinstance(loop, (ast.For, ast.While)):
                     continue

@@ -81,7 +81,7 @@ class NondeterminismRule(Rule):
     )
 
     def check(self, source, ctx):
-        for info in ctx.hot.hot_functions(source):
+        for info in ctx.hot_functions(source):
             assignments = source.local_assignments(info.node)
             for node in ast.walk(info.node):
                 if isinstance(node, (ast.Call, ast.For, ast.AsyncFor)) \

@@ -1,30 +1,29 @@
-"""R10/R13: fusion-safety and whole-region fusion purity.
+"""R13: whole-region fusion purity.
 
 The macro-tick engine (DESIGN.md 6.9) lets a component cover a whole
 run of cycles with one ``step_n(engine, budget)`` call, on the
 contract that the batch replicates the exact per-cycle effects of the
-fused window *without* consulting per-cycle context: the engine
-advances ``now`` only after the call returns, so ``engine.now`` is
-frozen at the run's first cycle for the entire batch.  A kernel that
+fused window *without* consulting per-cycle context.  The contract is
+a property of the whole *fused region* -- ``step_n`` plus everything
+reachable from it through the call graph -- and R13 checks each of its
+silent-cycle clauses there: fused cycles may not invoke
+instrumentation hooks the kernel did not decline, may not push into
+channels, may not pop from a channel whose space watchers were not
+declined, may not wake other components, and may not read the clock
+per element.
+
+The last clause exists because the engine advances ``now`` only after
+``step_n`` returns, so ``engine.now`` is frozen at the run's first
+cycle for the entire batch.  A kernel (or a helper it reaches) that
 reads ``engine.now`` per element -- inside the loop or comprehension
 that walks the batch -- is almost certainly stamping every element
 with the run's start cycle where the unfused path would have stamped
 ``start, start+1, ...``: the fused and unfused runs then diverge in a
 way no cycle-count assertion catches (timestamps live in stats,
-traces, or queued tokens, not in ``result.cycles``).
-
-Reading ``engine.now`` once, outside any per-element loop, stays
-legal: that is how a kernel derives the window base to compute
-per-element cycles arithmetically (``base + i``), which is the correct
-fused form.
-
-R10 checks the ``step_n`` body itself.  R13 extends the contract to
-the whole *fused region* -- ``step_n`` plus everything reachable from
-it through the call graph -- and to the other silent-cycle clauses of
-the protocol: fused cycles may not invoke instrumentation hooks the
-kernel did not decline, may not push into channels, may not pop from a
-channel whose space watchers were not declined, and may not wake other
-components.
+traces, or queued tokens, not in ``result.cycles``).  Reading
+``engine.now`` once, outside any per-element loop, stays legal: that
+is how a kernel derives the window base to compute per-element cycles
+arithmetically (``base + i``), which is the correct fused form.
 """
 
 import ast
@@ -68,9 +67,8 @@ def per_element_parts(scope):
     For a loop, everything under it -- body, condition, and iterable
     included -- re-evaluates per iteration.  For a comprehension, the
     element expression, every ``if`` filter, and every generator source
-    except the first (which evaluates once, outside the scope).  Shared
-    by R10 (``engine.now`` reads in ``step_n``) and R13 (the same reads
-    in reachable helpers, plus per-element call sites).
+    except the first (which evaluates once, outside the scope).  R13
+    uses it for ``engine.now`` reads and for per-element call sites.
     """
     if isinstance(scope, _LOOPS):
         return [scope]
@@ -104,68 +102,6 @@ def loop_scoped(func_node, collect):
                 seen.add(id(node))
                 found.append(node)
     return found
-
-
-class FusionSafetyRule(Rule):
-    """R10: no per-element ``engine.now`` reads inside ``step_n``."""
-
-    id = "R10"
-    name = "fusion-safety"
-    severity = "error"
-    summary = "no per-element engine.now reads in fused step_n kernels"
-    rationale = (
-        "The engine advances now only after step_n returns, so "
-        "engine.now is frozen at the fused run's first cycle for the "
-        "whole batch.  A per-element read stamps every element with "
-        "the start cycle where the unfused path would have stamped "
-        "start, start+1, ...; the divergence hides in timestamps "
-        "(stats, traces, queued tokens) that no cycle-count assertion "
-        "compares, breaking the fused/unfused bit-identity contract."
-    )
-    hint = (
-        "read engine.now once before the loop and derive per-element "
-        "cycles arithmetically (base + index); work that genuinely "
-        "needs the live clock must stay on per-cycle tick()"
-    )
-
-    POSITIVE = (
-        "def step_n(self, engine, budget):\n"
-        "    m = 0\n"
-        "    for _ in range(budget):\n"
-        "        self.trace.append(engine.now + m)\n"
-        "        m += 1\n"
-        "    return m\n"
-    )
-    NEGATIVE = (
-        "def step_n(self, engine, budget):\n"
-        "    base = engine.now\n"
-        "    m = self.mshrs.failing_insert_run(self.addr, budget)\n"
-        "    self.trace.extend(base + i for i in range(m))\n"
-        "    self.stats.stall_mshr += m\n"
-        "    return m\n"
-    )
-
-    def check(self, source, ctx):
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if node.name != "step_n":
-                continue
-            engine_name = _engine_param(node)
-            if engine_name is None:
-                continue
-            reads = loop_scoped(
-                node, lambda part: _now_reads(part, engine_name)
-            )
-            for read in reads:
-                yield self.finding(
-                    source, read,
-                    "per-element engine.now read inside fused "
-                    f"'{node.name}' kernel (now is frozen at "
-                    "the run's first cycle for the whole "
-                    "batch)",
-                )
 
 
 # -- R13: whole-region purity ---------------------------------------------
@@ -269,14 +205,22 @@ class FusionPurityRule(Rule):
         "past a waiting space watcher, or wake another component -- "
         "side effects the per-cycle path would have interleaved with "
         "other components' ticks, silently breaking fused/unfused "
-        "bit-identity.  R10 sees only the step_n body; R13 closes the "
-        "region over the call graph and checks every clause."
+        "bit-identity.  The engine also advances now only after "
+        "step_n returns, so a per-element engine.now read anywhere in "
+        "the region stamps every element with the run's start cycle.  "
+        "R13 closes the region over the call graph and checks every "
+        "clause."
     )
     hint = (
         "decline fusion (return 0) while the offending hook or space "
         "watcher is active, keep the mutation on the per-cycle tick() "
         "path, or restructure the helper so the fused call cannot "
         "reach it"
+    )
+    clock_hint = (
+        "read engine.now once before the loop and derive per-element "
+        "cycles arithmetically (base + index); work that genuinely "
+        "needs the live clock must stay on per-cycle tick()"
     )
 
     POSITIVE = (
@@ -307,8 +251,9 @@ class FusionPurityRule(Rule):
         if buckets is None:
             buckets = self._analyze(ctx)
             ctx.memo[self.id] = buckets
-        for node, message in buckets.get(source.rel, ()):
-            yield self.finding(source, node, message)
+        for node, facet, message in buckets.get(source.rel, ()):
+            hint = self.clock_hint if facet.startswith("now") else None
+            yield self.finding(source, node, message, hint=hint)
 
     # -- whole-program analysis ---------------------------------------------
 
@@ -322,7 +267,7 @@ class FusionPurityRule(Rule):
             if marker in flagged:
                 return
             flagged.add(marker)
-            buckets.setdefault(rel, []).append((node, message))
+            buckets.setdefault(rel, []).append((node, facet, message))
 
         for key in sorted(callgraph.functions):
             info = callgraph.functions[key]
@@ -351,10 +296,10 @@ class FusionPurityRule(Rule):
                     space_ok, label, report,
                 )
         for rel in buckets:
-            buckets[rel].sort(key=lambda pair: (
-                getattr(pair[0], "lineno", 1),
-                getattr(pair[0], "col_offset", 0),
-                pair[1],
+            buckets[rel].sort(key=lambda entry: (
+                getattr(entry[0], "lineno", 1),
+                getattr(entry[0], "col_offset", 0),
+                entry[2],
             ))
         return buckets
 
@@ -431,18 +376,17 @@ class FusionPurityRule(Rule):
                         f"cycles must not alter other components' "
                         f"schedules",
                     )
-        if region_key != step_key:
-            engine_name = _engine_param(node)
-            if engine_name is not None and node.name != "step_n":
-                reads = loop_scoped(
-                    node, lambda part: _now_reads(part, engine_name)
+        engine_name = _engine_param(node)
+        if engine_name is not None:
+            reads = loop_scoped(
+                node, lambda part: _now_reads(part, engine_name)
+            )
+            for read in reads:
+                report(
+                    rel, read, "now",
+                    f"per-element engine.now read {here} (now is "
+                    f"frozen for the whole fused batch)",
                 )
-                for read in reads:
-                    report(
-                        rel, read, "now",
-                        f"per-element engine.now read {here} (now is "
-                        f"frozen for the whole fused batch)",
-                    )
         # Per-element call sites: a helper that reads the clock even
         # once becomes a per-element read when invoked from a loop.
         calls = loop_scoped(

@@ -65,7 +65,7 @@ class DirectTokenConstructionRule(Rule):
         pooled = ctx.pooled_classes
         if not pooled or source.rel.endswith(POOL_HOME_SUFFIX):
             return
-        for info in ctx.hot.hot_functions(source):
+        for info in ctx.hot_functions(source):
             if info.name.startswith(ACQUIRE_PREFIXES):
                 continue
             for node in ast.walk(info.node):

@@ -1,24 +1,25 @@
-"""R8/R14: versioned-row literals and whole-program schema coherence.
+"""R14: versioned row schemas, one pass for writers and readers.
 
 Journal rows (``repro.experiments.common.JOURNAL_SCHEMA``), activity
 summaries (``repro.core.stats.ACTIVITY_SCHEMA_VERSION``) and telemetry
 exports (``TELEMETRY_SCHEMA_VERSION``) are all consumed by tolerant
 readers that key their compatibility decisions on the embedded version
-number.  A writer that inlines the number as a literal keeps "working"
-when the constant is bumped -- and silently stamps rows with a stale
-version, which is exactly the drift the tolerant parsing was built to
-survive, not to create (R8).
+number.  R14 keeps both halves of that contract in one pass:
 
-R14 checks the other half of the contract: the *key sets* the writers
-emit and the readers consume.  Each versioned schema is pinned in
-:data:`SCHEMA_CONTRACTS` -- the version number and the exact set of
-string keys the writer's dict literals carry at that version.  The
-pass recomputes both from source; keys that changed while the version
-constant did not is the silent-drift bug the versioning exists to
-prevent, and a reader consulting a key no writer emits is dead
-tolerant-fallback code waiting to mask a typo.  Bumping a version
-legitimately requires re-pinning the contract here -- that forced diff
-is the review hook.
+* writers reference the constants -- an integer literal under a
+  ``schema``/``version`` dict key, in any file, keeps "working" when
+  the constant is bumped and silently stamps rows with a stale
+  version, which is exactly the drift the tolerant parsing was built
+  to survive, not to create;
+* the constants stay honest -- each versioned schema is pinned in
+  :data:`SCHEMA_CONTRACTS` with its version number and the exact set
+  of string keys the writer's dict literals carry at that version.
+  The pass recomputes both from source; keys that changed while the
+  version constant did not is the silent-drift bug the versioning
+  exists to prevent, and a reader consulting a key no writer emits is
+  dead tolerant-fallback code waiting to mask a typo.  Bumping a
+  version legitimately requires re-pinning the contract here -- that
+  forced diff is the review hook.
 """
 
 import ast
@@ -26,51 +27,6 @@ import ast
 from repro.analysis.rules.base import Rule
 
 _VERSION_KEYS = ("schema", "version")
-
-
-class SchemaLiteralRule(Rule):
-    """R8: no integer literals under 'schema'/'version' dict keys."""
-
-    id = "R8"
-    name = "schema-literal"
-    severity = "error"
-    summary = "schema/version row fields must reference the constants"
-    rationale = (
-        "Tolerant readers (journal --resume, telemetry validators) "
-        "compare the embedded version against the module constant; a "
-        "literal in the writer decouples the two, so bumping the "
-        "constant no longer bumps the rows and stale data passes as "
-        "current."
-    )
-    hint = ("reference JOURNAL_SCHEMA / ACTIVITY_SCHEMA_VERSION / "
-            "TELEMETRY_SCHEMA_VERSION (or define a constant next to the "
-            "new writer)")
-
-    POSITIVE = (
-        "def journal_row(point):\n"
-        "    return {'schema': 2, 'point': repr(point)}\n"
-    )
-    NEGATIVE = (
-        "JOURNAL_SCHEMA = 2\n"
-        "def journal_row(point):\n"
-        "    return {'schema': JOURNAL_SCHEMA, 'point': repr(point)}\n"
-    )
-
-    def check(self, source, ctx):
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Dict):
-                continue
-            for key, value in zip(node.keys, node.values):
-                if (isinstance(key, ast.Constant)
-                        and key.value in _VERSION_KEYS
-                        and isinstance(value, ast.Constant)
-                        and type(value.value) is int):
-                    yield self.finding(
-                        source, value,
-                        f"row field '{key.value}' is the integer literal "
-                        f"{value.value}; writers must reference the "
-                        f"schema constant",
-                    )
 
 
 # -- R14: the pinned schema contracts --------------------------------------
@@ -234,22 +190,29 @@ class SchemaCoherenceRule(Rule):
     id = "R14"
     name = "schema-coherence"
     severity = "error"
-    summary = ("versioned schema key sets must match the pin table, "
-               "with a version bump on change")
+    summary = ("versioned rows must reference their schema constant, "
+               "and key sets must match the pin table")
     rationale = (
         "Tolerant readers mask schema drift by design: a writer that "
         "grows or renames a key without bumping its version constant "
         "ships rows old readers silently misparse, and a reader "
         "consulting a key no writer emits falls back to its default "
-        "forever -- both bugs with no local symptom.  Recomputing the "
-        "key sets from source and diffing them against the pinned "
-        "contract turns either drift into a lint finding at the "
-        "offending line."
+        "forever -- both bugs with no local symptom.  A writer that "
+        "inlines the version as a literal decouples it from the "
+        "constant, so bumping the constant no longer bumps the rows.  "
+        "Recomputing the key sets from source, diffing them against "
+        "the pinned contract, and flagging literal versions turns each "
+        "drift into a lint finding at the offending line."
     )
     hint = (
         "if the key change is intentional, bump the schema's version "
         "constant and re-pin the entry in SCHEMA_CONTRACTS "
         "(repro/analysis/rules/schema.py) in the same commit"
+    )
+    literal_hint = (
+        "reference JOURNAL_SCHEMA / ACTIVITY_SCHEMA_VERSION / "
+        "TELEMETRY_SCHEMA_VERSION (or define a constant next to the "
+        "new writer)"
     )
 
     POSITIVE = (
@@ -268,9 +231,27 @@ class SchemaCoherenceRule(Rule):
     )
 
     def check(self, source, ctx):
+        yield from self._check_literal_versions(source)
         for contract in SCHEMA_CONTRACTS:
             yield from self._check_version_and_writer(source, contract)
             yield from self._check_readers(source, ctx, contract)
+
+    def _check_literal_versions(self, source):
+        for node in ast.walk(source.tree):
+            if not isinstance(node, ast.Dict):
+                continue
+            for key, value in zip(node.keys, node.values):
+                if (isinstance(key, ast.Constant)
+                        and key.value in _VERSION_KEYS
+                        and isinstance(value, ast.Constant)
+                        and type(value.value) is int):
+                    yield self.finding(
+                        source, value,
+                        f"row field '{key.value}' is the integer literal "
+                        f"{value.value}; writers must reference the "
+                        f"schema constant",
+                        hint=self.literal_hint,
+                    )
 
     def _check_version_and_writer(self, source, contract):
         if not _rel_matches(source.rel, contract.rel):

@@ -167,7 +167,7 @@ class SnapshotCompletenessRule(Rule):
         # (e.g. --quick's hot packages) that does not include the
         # registry declarations would flag every registered class.
         # Fixture trees (force_hot) stay checkable without a registry.
-        if not registered and not excluded and not ctx.hot.force_hot:
+        if not registered and not excluded and not ctx.force_hot:
             return {}
         returned = callgraph.returned_classes()
         buckets = {}

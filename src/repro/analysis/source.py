@@ -11,7 +11,7 @@ import ast
 import re
 
 
-# ``# simlint: disable=R1,R4 -- justification`` -- trailing on the
+# ``# simlint: disable=R1,R12 -- justification`` -- trailing on the
 # offending line, or standalone on the line directly above it.  The
 # justification after ``--`` is required by policy (DESIGN.md 6.5) but
 # not enforced mechanically; review enforces it.
@@ -52,20 +52,6 @@ class SourceFile:
         self._func_assignments = {}
         self._index_defs()
         self._index_imports()
-
-    # -- pickling (the lint-index disk cache) --------------------------------
-
-    def __getstate__(self):
-        """Drop the id()-keyed lazy caches; they are meaningless after a
-        pickle round trip (node identities change) and rebuild on demand."""
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_parents"] = None
-        state["_func_assignments"] = {}
-        return state
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
     # -- construction-time indexes ------------------------------------------
 

@@ -52,6 +52,10 @@ class Graph:
         return Graph(self.n_nodes, self.src, self.dst, weights,
                      name=self.name)
 
+    def without_weights(self):
+        """Copy with the weights dropped (for unweighted algorithms)."""
+        return Graph(self.n_nodes, self.src, self.dst, name=self.name)
+
     def relabel(self, permutation):
         """Apply a node permutation: node i becomes permutation[i].
 

@@ -6,6 +6,7 @@ regardless of timing, stalls, structure sizes, or organizations.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,5 +90,54 @@ class TestEndToEndProperties:
             use_dbg=variant in ("dbg", "both"),
         )
         result = system.run()
+        expected, _ = reference_min_label(graph)
+        assert np.array_equal(result.values.astype(np.int64), expected)
+
+
+# Every run-shaping ArchitectureConfig field with an impossible range,
+# the values drawn for it (boundaries included), and which of them a
+# run can finish with.  Anything else must be rejected, by name, when
+# the system is built.
+CONFIG_SURFACE = {
+    "burst_bytes": ([0, 1, 32, 63, 64, 65, 96, 128, 192, 4096],
+                    lambda v: v > 0 and v % 64 == 0),
+    "max_outstanding_edge_bursts": ([0, 1, 2], lambda v: v >= 1),
+    "dma_queue_beats": ([0, 1, 2], lambda v: v >= 1),
+    "init_nodes_per_cycle": ([0, 1, 3], lambda v: v >= 1),
+    "nodes_per_dst_interval": ([0, 16, 17], lambda v: v >= 1),
+    "min_jobs_per_pe": ([0, 0.5, 1], lambda v: v > 0),
+    "id_pool_size": ([0, 1, 2], lambda v: v >= 1),
+}
+
+
+class TestConfigSurface:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_accepted_is_exact_rejected_is_named(self, data):
+        """Accepted means bit-exact; rejected means a ValueError naming
+        the field at construction, never a mid-run failure."""
+        field = data.draw(st.sampled_from(sorted(CONFIG_SURFACE)))
+        values, valid = CONFIG_SURFACE[field]
+        value = data.draw(st.sampled_from(values))
+        rng = np.random.default_rng(5)
+        graph = Graph(100, rng.integers(0, 100, 400),
+                      rng.integers(0, 100, 400)).with_weights(rng)
+        config = make_config("two-level", "sssp")
+        setattr(config, field, value)
+        if not valid(value):
+            with pytest.raises(ValueError, match=field):
+                AcceleratorSystem(graph, "sssp", config, source=0)
+            return
+        result = AcceleratorSystem(graph, "sssp", config, source=0).run()
+        expected, _ = reference_sssp(graph, 0)
+        assert np.array_equal(result.values.astype(np.int64), expected)
+
+    def test_id_pool_only_binds_weighted_algorithms(self):
+        rng = np.random.default_rng(5)
+        graph = Graph(100, rng.integers(0, 100, 400),
+                      rng.integers(0, 100, 400))
+        config = make_config("two-level", "scc")
+        config.id_pool_size = 0
+        result = AcceleratorSystem(graph, "scc", config).run()
         expected, _ = reference_min_label(graph)
         assert np.array_equal(result.values.astype(np.int64), expected)

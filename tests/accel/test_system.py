@@ -5,6 +5,12 @@ on a small graph and checks bit-exact (integer algorithms) or
 tolerance (PageRank) agreement with the software references.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,3 +198,65 @@ class TestArchitectureBehaviour:
         expected, _ = reference_sssp(WEIGHTED, 0)
         assert np.array_equal(result.values.astype(np.int64), expected)
         assert result.stats["id_stalls"] > 0
+
+
+class TestWeightedGraphInput:
+    @pytest.mark.parametrize("algorithm", ["bfs", "scc", "pagerank"])
+    def test_unweighted_algorithm_ignores_weights(self, algorithm):
+        # The layout takes its edge width from the graph, so weights
+        # must not reach an unweighted kernel's 1-word edge decoder.
+        graph = web_graph(300, 1200, seed=4)
+        config = arch(MOMS_TWO_LEVEL, algorithm, n_pes=2, n_banks=2)
+        plain = AcceleratorSystem(graph, algorithm, config).run(
+            max_iterations=2)
+        weighted = AcceleratorSystem(
+            graph.with_weights(np.random.default_rng(9)), algorithm,
+            config,
+        ).run(max_iterations=2)
+        assert weighted.cycles == plain.cycles
+        assert np.array_equal(weighted.values, plain.values)
+
+
+# Runs in a fresh interpreter: REPRO_POOL is read at import time.
+_POOL_POINT = """
+import hashlib, json
+import numpy as np
+from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
+from repro.accel.system import AcceleratorSystem
+from repro.core.messages import POOLING_ENABLED
+from repro.graph import web_graph
+graph = web_graph(400, 1600, seed=5).with_weights(np.random.default_rng(1))
+out = {"pooling": POOLING_ENABLED}
+for algorithm in ("scc", "sssp"):
+    config = ArchitectureConfig(
+        _design(2, 2, "two-level", algorithm, 2), **SCALED_DEFAULTS)
+    result = AcceleratorSystem(graph, algorithm, config).run()
+    digest = hashlib.sha256(result.values.tobytes())
+    digest.update(json.dumps(result.stats, sort_keys=True,
+                             default=repr).encode())
+    out[algorithm] = [result.cycles, digest.hexdigest()]
+print(json.dumps(out))
+"""
+
+
+class TestTokenPooling:
+    @staticmethod
+    def _run(pool):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "REPRO_POOL": pool,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _POOL_POINT],
+                              capture_output=True, text=True, env=env,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_freelists_off_changes_nothing_observable(self):
+        # REPRO_POOL=0 swaps every token freelist for plain
+        # construction; cycles, values and stats must not move.
+        pooled = self._run("1")
+        unpooled = self._run("0")
+        assert pooled.pop("pooling") is True
+        assert unpooled.pop("pooling") is False
+        assert unpooled == pooled

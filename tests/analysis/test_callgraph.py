@@ -62,12 +62,6 @@ class TestRealTreeEdges:
             reached.update(tree.callees(key))
         assert (BANK_REL, "MomsBank.step_n") in reached
 
-    def test_file_dependents_closes_over_callers(self, tree):
-        dependents = tree.file_dependents([BANK_REL])
-        assert BANK_REL in dependents
-        # The system builds banks; an edit to bank.py is in its scope.
-        assert "src/repro/accel/system.py" in dependents
-
     def test_reachable_from_respects_skip_classes(self, tree):
         seed = (ENGINE_REL, "Engine._step")
         full = tree.reachable_from([seed])

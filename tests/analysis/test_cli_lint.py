@@ -1,9 +1,10 @@
 """End-to-end ``python -m repro lint`` behavior through main().
 
 The positive-fixture tests scaffold a miniature package tree (an
-engine module seeding the hot-path classifier plus one fixture module
-in a hot package) so each rule's own POSITIVE snippet drives the CLI
-to a non-zero exit -- the acceptance bar from DESIGN.md 6.5.
+engine module seeding the call-graph hot set plus one fixture module
+in a hot package) so each rule's own POSITIVE snippet -- and each
+retired rule's, through its successor -- drives the CLI to a non-zero
+exit, the acceptance bar from DESIGN.md 6.5.
 """
 
 import json
@@ -14,7 +15,9 @@ import pytest
 from repro.__main__ import main
 from repro.analysis import ALL_RULES
 
-# Minimal engine module: gives the classifier its _step/wake seeds and
+from .fixture_cases import FIXTURE_CASES, case_id
+
+# Minimal engine module: gives the call graph its _step/wake seeds and
 # the component.tick(self) dispatch that marks fixture ticks hot.
 ENGINE = (
     "class Engine:\n"
@@ -43,24 +46,24 @@ class TestLintCli:
         # its own linter with the default (error) gate.
         assert main(["lint"]) == 0
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_each_positive_fixture_fails_the_cli(self, rule, tmp_path):
-        root = scaffold(tmp_path, rule.POSITIVE)
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_each_positive_fixture_fails_the_cli(self, case, tmp_path):
+        root = scaffold(tmp_path, case.positive)
         # --fail-on warning so warning-severity rules (R5) gate too.
         code = main([
-            "lint", "--rules", rule.id, "--fail-on", "warning",
+            "lint", "--rules", case.rule.id, "--fail-on", "warning",
             "--paths", str(root),
         ])
-        assert code == 1, f"{rule.id} positive fixture did not fail"
+        assert code == 1, f"{case.label} positive fixture did not fail"
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_each_negative_fixture_passes_the_cli(self, rule, tmp_path):
-        root = scaffold(tmp_path, rule.NEGATIVE)
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_each_negative_fixture_passes_the_cli(self, case, tmp_path):
+        root = scaffold(tmp_path, case.negative)
         code = main([
-            "lint", "--rules", rule.id, "--fail-on", "warning",
+            "lint", "--rules", case.rule.id, "--fail-on", "warning",
             "--paths", str(root),
         ])
-        assert code == 0, f"{rule.id} negative fixture failed"
+        assert code == 0, f"{case.label} negative fixture failed"
 
     def test_unknown_rule_is_a_tool_error(self):
         assert main(["lint", "--rules", "R99"]) == 2
@@ -100,153 +103,3 @@ class TestLintCli:
         started = time.monotonic()
         assert main(["lint", "--quick"]) == 0
         assert time.monotonic() - started < 30.0
-
-
-class TestBaselineFlow:
-    BAD = ALL_RULES[1].POSITIVE  # R2: single-token push in hot loop
-
-    def test_write_then_apply_roundtrip(self, tmp_path):
-        root = scaffold(tmp_path, self.BAD)
-        baseline = tmp_path / "accepted.json"
-        assert main([
-            "lint", "--paths", str(root),
-            "--write-baseline", str(baseline),
-        ]) == 0
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        assert payload["accepted"], "baseline recorded no findings"
-        # With the baseline applied the same tree passes...
-        assert main([
-            "lint", "--paths", str(root), "--baseline", str(baseline),
-        ]) == 0
-
-    def test_new_violation_still_fails_with_baseline(self, tmp_path):
-        root = scaffold(tmp_path, self.BAD)
-        baseline = tmp_path / "accepted.json"
-        main(["lint", "--paths", str(root),
-              "--write-baseline", str(baseline)])
-        fresh = (
-            "def tick(self, engine):\n"
-            "    while self.pending_reads:\n"
-            "        self.req_out.push(self.pending_reads.popleft())\n"
-        )
-        (root / "repro" / "core" / "newcode.py").write_text(
-            fresh, encoding="utf-8")
-        assert main([
-            "lint", "--paths", str(root), "--baseline", str(baseline),
-        ]) == 1
-
-    def test_corrupt_baseline_degrades_not_crashes(self, tmp_path, capsys):
-        root = scaffold(tmp_path, self.BAD)
-        baseline = tmp_path / "accepted.json"
-        baseline.write_text("{ this is not json", encoding="utf-8")
-        # Tolerant parsing: the run proceeds as if unbaselined (exit 1
-        # for the real finding, never exit 2) and says why on stderr.
-        assert main([
-            "lint", "--paths", str(root), "--baseline", str(baseline),
-        ]) == 1
-        assert "note" in capsys.readouterr().err
-
-    def test_missing_baseline_is_a_note_not_an_error(self, tmp_path):
-        root = scaffold(tmp_path, ALL_RULES[0].NEGATIVE)
-        assert main([
-            "lint", "--paths", str(root),
-            "--baseline", str(tmp_path / "nope.json"),
-        ]) == 0
-
-    def test_unknown_rule_id_warns_with_location(self, tmp_path, capsys):
-        # Tolerant parsing: a retired/renamed rule id in the baseline
-        # is a warning naming the offending entry's line, never a
-        # tool error, and the rest of the baseline still applies.
-        root = scaffold(tmp_path, ALL_RULES[0].NEGATIVE)
-        baseline = tmp_path / "accepted.json"
-        payload = {
-            "schema": 1,
-            "accepted": [
-                {"rule": "R99", "path": "repro/core/x.py",
-                 "message": "retired finding", "line": 3},
-            ],
-        }
-        baseline.write_text(json.dumps(payload, indent=2),
-                            encoding="utf-8")
-        assert main([
-            "lint", "--paths", str(root), "--baseline", str(baseline),
-        ]) == 0
-        err = capsys.readouterr().err
-        assert "unknown rule 'R99'" in err
-        lineno = next(
-            number
-            for number, line in enumerate(
-                baseline.read_text(encoding="utf-8").splitlines(), 1)
-            if '"rule": "R99"' in line
-        )
-        assert f"accepted.json:{lineno}:" in err
-
-
-class TestChangedScope:
-    @staticmethod
-    def _git(root, *args):
-        import subprocess
-
-        proc = subprocess.run(
-            ["git", "-C", str(root), *args],
-            capture_output=True, text=True,
-            env={**__import__("os").environ,
-                 "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-                 "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    def test_changed_reports_only_diff_scope(self, tmp_path):
-        root = scaffold(tmp_path, ALL_RULES[0].NEGATIVE)
-        self._git(root, "init", "-q")
-        self._git(root, "add", "-A")
-        self._git(root, "commit", "-qm", "seed")
-        bad = (
-            "def tick(self, engine):\n"
-            "    while self.pending_reads:\n"
-            "        self.req_out.push(self.pending_reads.popleft())\n"
-        )
-        victim = root / "repro" / "core" / "newcode.py"
-        victim.write_text(bad, encoding="utf-8")
-        # Uncommitted violation: in the changed scope, so it gates.
-        assert main(["lint", "--paths", str(root), "--changed"]) == 1
-        # Committed (nothing changed any more): same tree passes,
-        # because --changed narrows reporting to the empty diff.
-        self._git(root, "add", "-A")
-        self._git(root, "commit", "-qm", "accepted")
-        assert main(["lint", "--paths", str(root), "--changed"]) == 0
-        # Without --changed the violation still gates: scoping is a
-        # reporting filter, not a weaker analysis.
-        assert main(["lint", "--paths", str(root)]) == 1
-
-    def test_changed_without_git_degrades_to_full_lint(
-            self, tmp_path, capsys):
-        rule = ALL_RULES[1]
-        root = scaffold(tmp_path, rule.POSITIVE)
-        code = main(["lint", "--paths", str(root), "--changed"])
-        assert code == 1  # degraded to a full lint, finding reported
-        assert "--changed" in capsys.readouterr().err
-
-
-class TestCacheDir:
-    def test_cache_roundtrip_through_cli(self, tmp_path, capsys):
-        root = scaffold(tmp_path / "tree", ALL_RULES[0].NEGATIVE)
-        cache = tmp_path / "cache"
-        assert main(["lint", "--paths", str(root),
-                     "--cache-dir", str(cache)]) == 0
-        assert "cache miss" in capsys.readouterr().err
-        assert main(["lint", "--paths", str(root),
-                     "--cache-dir", str(cache)]) == 0
-        assert "cache hit" in capsys.readouterr().err
-
-    def test_edit_invalidates_fingerprint(self, tmp_path, capsys):
-        root = scaffold(tmp_path / "tree", ALL_RULES[0].NEGATIVE)
-        cache = tmp_path / "cache"
-        main(["lint", "--paths", str(root), "--cache-dir", str(cache)])
-        capsys.readouterr()
-        (root / "repro" / "core" / "fixture.py").write_text(
-            "def quiet():\n    return 0\n", encoding="utf-8")
-        assert main(["lint", "--paths", str(root),
-                     "--cache-dir", str(cache)]) == 0
-        assert "cache miss" in capsys.readouterr().err

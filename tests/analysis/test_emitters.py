@@ -98,7 +98,7 @@ class TestEmitterGoldens:
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8",
+        assert {"R1", "R2", "R3", "R5", "R6", "R7",
                 "R11", "R12", "R13", "R14"} <= rule_ids
         results = run["results"]
         # Active findings carry no suppressions; the inline-suppressed
@@ -129,5 +129,5 @@ class TestEmitterGoldens:
         assert "[suppressed]" in text
         assert text.endswith(
             "2 finding(s) (1 error, 1 warning), 1 suppressed, "
-            "0 baselined, 3 file(s), rules R1,R2,R5\n"
+            "3 file(s), rules R1,R2,R5\n"
         )

@@ -1,14 +1,16 @@
-"""The call-graph hot-path classifier against the real tree.
+"""The call-graph hot-path set against the real tree.
 
 Pins the property the hot-scoped rules (R1/R2/R3) depend on: the
-engine seeds exist, every per-cycle component module is classified
-hot, and the O(1)-per-sweep-point layers (experiments, graph
+engine seeds exist, every per-cycle component module is on the hot
+path (everything ``CallGraph.reachable_from`` the engine's
+``_step``/``wake``/``wake_at``, restricted to the simulator-core
+packages), and the O(1)-per-sweep-point layers (experiments, graph
 preprocessing, baselines) never are.
 """
 
 import pathlib
 
-from repro.analysis.engine import build_context, collect_sources
+from repro.analysis.engine import LintContext, collect_sources
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -19,10 +21,14 @@ class TestHotPathIndex:
         sources, errors = collect_sources([SRC])
         assert not errors, errors
         cls.sources = {source.rel: source for source in sources}
-        cls.ctx = build_context(sources)
+        cls.ctx = LintContext(sources)
 
     def _hot_quals(self, rel):
-        return self.ctx.hot.hot_qualnames(rel)
+        source = self.sources.get(rel)
+        if source is None:
+            return ()
+        return tuple(info.qualname
+                     for info in self.ctx.hot_functions(source))
 
     def test_engine_seeds_are_hot(self):
         quals = self._hot_quals("src/repro/sim/engine.py")
@@ -59,12 +65,13 @@ class TestHotPathIndex:
             "src/repro/profiling.py",
             "src/repro/analysis/engine.py",
         ):
+            assert rel in self.sources, rel
             assert self._hot_quals(rel) == (), rel
 
     def test_hot_files_cover_the_legacy_lint_module_list(self):
         # The module list the old standalone AST test hard-coded must
-        # be a subset of what the classifier derives.
-        hot_files = set(self.ctx.hot.hot_files())
+        # be a subset of the files holding a hot function.
+        hot_files = {rel for rel in self.sources if self._hot_quals(rel)}
         for legacy in (
             "src/repro/core/bank.py",
             "src/repro/core/hierarchy.py",

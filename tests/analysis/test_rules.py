@@ -1,15 +1,18 @@
 """Per-rule fixtures: positive fires, negative clean, suppressible.
 
 The generic sweep drives every rule through its own built-in POSITIVE
-and NEGATIVE snippets (the same ones ``--quick`` self-checks), then
-proves a trailing ``# simlint: disable=<id>`` neutralizes the positive.
-The per-rule classes below pin the sharper distinctions each rule is
-supposed to draw.
+and NEGATIVE snippets (the same ones ``--quick`` self-checks), plus
+each retired rule's snippets through its successor (fixture_cases),
+then proves a trailing ``# simlint: disable=<id>`` neutralizes the
+positive.  The per-rule classes below pin the sharper distinctions
+each rule is supposed to draw.
 """
 
 import pytest
 
-from repro.analysis import ALL_RULES, lint_text
+from repro.analysis import lint_text
+
+from .fixture_cases import FIXTURE_CASES, case_id
 
 
 def _only(result):
@@ -20,34 +23,37 @@ def _only(result):
 
 
 class TestEveryRuleFixture:
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_positive_fires(self, rule):
-        result = lint_text(rule.POSITIVE, rules=(rule,))
-        assert result.findings, f"{rule.id} positive fixture is clean"
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_positive_fires(self, case):
+        rule = case.rule
+        result = lint_text(case.positive, rules=(rule,))
+        assert result.findings, f"{case.label} positive fixture is clean"
         assert all(f.rule == rule.id for f in result.findings)
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_negative_clean(self, rule):
-        result = lint_text(rule.NEGATIVE, rules=(rule,))
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_negative_clean(self, case):
+        result = lint_text(case.negative, rules=(case.rule,))
         assert not result.findings, [f.message for f in result.findings]
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_inline_suppression(self, rule):
-        base = lint_text(rule.POSITIVE, rules=(rule,))
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_inline_suppression(self, case):
+        rule = case.rule
+        base = lint_text(case.positive, rules=(rule,))
         line = base.findings[0].line
-        lines = rule.POSITIVE.splitlines()
+        lines = case.positive.splitlines()
         lines[line - 1] += f"  # simlint: disable={rule.id}"
         result = lint_text("\n".join(lines) + "\n", rules=(rule,))
         hits = [f for f in result.findings if f.line == line]
         assert not hits, [f.message for f in hits]
         assert any(f.line == line for f in result.suppressed)
 
-    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.id)
-    def test_suppression_by_name_and_all(self, rule):
-        base = lint_text(rule.POSITIVE, rules=(rule,))
+    @pytest.mark.parametrize("case", FIXTURE_CASES, ids=case_id)
+    def test_suppression_by_name_and_all(self, case):
+        rule = case.rule
+        base = lint_text(case.positive, rules=(rule,))
         line = base.findings[0].line
         for token in (rule.name, "all"):
-            lines = rule.POSITIVE.splitlines()
+            lines = case.positive.splitlines()
             lines[line - 1] += f"  # simlint: disable={token}"
             result = lint_text("\n".join(lines) + "\n", rules=(rule,))
             assert not [f for f in result.findings if f.line == line]
@@ -179,6 +185,8 @@ class TestPoolingR3:
 
 
 class TestHookGatingR4:
+    """The retired syntactic R4's cases, held by R12's deref facet."""
+
     def test_alias_guard_recognized(self):
         good = (
             "def tick(self, engine):\n"
@@ -186,7 +194,7 @@ class TestHookGatingR4:
             "    if probe is not None:\n"
             "        probe.bank_tick(self, engine.now)\n"
         )
-        assert not lint_text(good, rules="R4").findings
+        assert not lint_text(good, rules="R12").findings
 
     def test_boolop_guard_recognized(self):
         good = (
@@ -194,7 +202,7 @@ class TestHookGatingR4:
             "    if self._fault is not None and self._fault.blocked():\n"
             "        return\n"
         )
-        assert not lint_text(good, rules="R4").findings
+        assert not lint_text(good, rules="R12").findings
 
     def test_ternary_is_none_guard_recognized(self):
         good = (
@@ -202,7 +210,7 @@ class TestHookGatingR4:
             "    extra = 0 if self._fault is None "
             "else self._fault.extra_latency(engine.now)\n"
         )
-        assert not lint_text(good, rules="R4").findings
+        assert not lint_text(good, rules="R12").findings
 
     def test_wrong_branch_flagged(self):
         bad = (
@@ -210,7 +218,7 @@ class TestHookGatingR4:
             "    if self._probe is None:\n"
             "        self._probe.bank_tick(self, engine.now)\n"
         )
-        assert lint_text(bad, rules="R4").findings
+        assert lint_text(bad, rules="R12").findings
 
     def test_truthiness_guard_not_accepted(self):
         bad = (
@@ -218,17 +226,29 @@ class TestHookGatingR4:
             "    if self._probe:\n"
             "        self._probe.bank_tick(self, engine.now)\n"
         )
-        assert lint_text(bad, rules="R4").findings
+        assert lint_text(bad, rules="R12").findings
 
     def test_instrumentation_packages_exempt(self):
         code = (
             "def check(self, engine):\n"
             "    self._probe.moms_verify(engine)\n"
         )
-        assert lint_text(code, rules="R4",
+        assert lint_text(code, rules="R12",
                          rel="repro/faults/ledger.py").findings == []
-        assert lint_text(code, rules="R4",
+        assert lint_text(code, rules="R12",
                          rel="repro/core/bank.py").findings
+
+    def test_files_outside_the_call_graph_checked(self):
+        # The deref facet covers every linted file, not only the
+        # call-graph packages: experiments, graph, top-level modules.
+        code = (
+            "def run(system):\n"
+            "    system.ledger.verify()\n"
+        )
+        for rel in ("repro/experiments/common.py", "repro/graph/x.py",
+                    "repro/report.py"):
+            assert lint_text(code, rules="R12", rel=rel,
+                             force_hot=False).findings, rel
 
 
 class TestFloatCompareR5:
@@ -284,6 +304,8 @@ class TestSlotsR7:
 
 
 class TestFusionSafetyR10:
+    """The retired R10's step_n clock cases, held by R13's clock facet."""
+
     def test_while_loop_read_flagged(self):
         bad = (
             "def step_n(self, engine, budget):\n"
@@ -293,7 +315,7 @@ class TestFusionSafetyR10:
             "        m += 1\n"
             "    return m\n"
         )
-        finding = _only(lint_text(bad, rules="R10"))
+        finding = _only(lint_text(bad, rules="R13"))
         assert "frozen" in finding.message
 
     def test_comprehension_read_flagged(self):
@@ -302,7 +324,7 @@ class TestFusionSafetyR10:
             "    self.trace.extend(engine.now for _ in range(budget))\n"
             "    return budget\n"
         )
-        assert lint_text(bad, rules="R10").findings
+        assert lint_text(bad, rules="R13").findings
 
     def test_first_generator_source_allowed(self):
         good = (
@@ -310,7 +332,7 @@ class TestFusionSafetyR10:
             "    rows = [row for row in self.window(engine.now)]\n"
             "    return len(rows)\n"
         )
-        assert not lint_text(good, rules="R10").findings
+        assert not lint_text(good, rules="R13").findings
 
     def test_loop_condition_read_flagged(self):
         bad = (
@@ -319,7 +341,7 @@ class TestFusionSafetyR10:
             "        self.advance()\n"
             "    return 0\n"
         )
-        assert lint_text(bad, rules="R10").findings
+        assert lint_text(bad, rules="R13").findings
 
     def test_per_cycle_tick_not_covered(self):
         good = (
@@ -327,7 +349,7 @@ class TestFusionSafetyR10:
             "    for item in self.backlog:\n"
             "        self.stamp(engine.now, item)\n"
         )
-        assert not lint_text(good, rules="R10").findings
+        assert not lint_text(good, rules="R13").findings
 
     def test_renamed_engine_param_tracked(self):
         bad = (
@@ -336,20 +358,22 @@ class TestFusionSafetyR10:
             "        self.stamp(eng.now)\n"
             "    return budget\n"
         )
-        assert lint_text(bad, rules="R10").findings
+        assert lint_text(bad, rules="R13").findings
 
 
 class TestSchemaLiteralR8:
+    """The retired R8's literal-version cases, held by R14."""
+
     def test_string_version_not_flagged(self):
         good = (
             "def sarif_envelope():\n"
             "    return {'version': '2.1.0'}\n"
         )
-        assert not lint_text(good, rules="R8").findings
+        assert not lint_text(good, rules="R14").findings
 
     def test_constant_reference_clean_literal_flagged(self):
         bad = (
             "def row():\n"
             "    return {'schema': 3}\n"
         )
-        assert lint_text(bad, rules="R8").findings
+        assert lint_text(bad, rules="R14").findings
